@@ -16,6 +16,13 @@ orientation that the left-module matrix realization of the defining
 formulas produces; conjugating by u^{-1} instead gives e(x . u), the
 same family of identities reindexed by the inversion bijection.
 
+Matrix products are sparse: group images are monomial matrices and
+coordinate images mostly diagonal, so a product only multiplies pairs of
+entries that are both nonzero.  Only exact zeros are skipped
+(``CoefficientAlgebra.is_exact_zero``); an entry that is zero merely
+modulo a truncation order still takes part in the product, so that the
+order it carries reaches the result.
+
 Everything is exact and side-effect free.
 """
 
@@ -62,6 +69,12 @@ class CoefficientAlgebra:
 
     def is_zero(self, a):
         return self.eq(a, self.zero())
+
+    def is_exact_zero(self, a):
+        """Whether ``a`` is zero outright, so that a product with it as a
+        factor can be skipped.  Stricter than ``is_zero`` where the algebra's
+        equality is only modulo something (a truncation order)."""
+        return self.is_zero(a)
 
     def from_group(self, parent_gid):
         """Image of a subgroup element (parent group id)."""
@@ -350,11 +363,6 @@ class CentralizerContext:
                     raise CentralizerError("override representative lies in the wrong coset")
                 self.reps[idx] = g
 
-    def h_factor(self, g):
-        """H-part of g: the h with g = h * rep(coset of g)."""
-        idx = self.coset_of[g]
-        return self.group.mul(g, self.group.inv[self.reps[idx]])
-
     def coset_act(self, idx, g):
         """Index of (coset idx) . g under right multiplication."""
         return self.coset_of[self.group.mul(self.reps[idx], g)]
@@ -408,15 +416,17 @@ class CentralizerElement:
             return CentralizerElement(self.ctx, tuple(tuple(A.scale(other, x) for x in row) for row in self.mat))
         A = self.ctx.A
         k = self.ctx.k
+        is_zero = A.is_exact_zero
+        right = [[(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in other.mat]
         out = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                acc = A.zero()
-                for l in range(k):
-                    acc = A.add(acc, A.mul(self.mat[i][l], other.mat[l][j]))
-                row.append(acc)
-            out.append(tuple(row))
+        for row in self.mat:
+            acc = [A.zero() for _ in range(k)]
+            for l, x in enumerate(row):
+                if is_zero(x):
+                    continue
+                for j, y in right[l]:
+                    acc[j] = A.add(acc[j], A.mul(x, y))
+            out.append(tuple(acc))
         return CentralizerElement(self.ctx, tuple(out))
 
     def __rmul__(self, scalar):

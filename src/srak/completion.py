@@ -217,6 +217,10 @@ class TruncatedCoefficients(CoefficientAlgebra):
     def is_zero(self, a):
         return a.eq_mod(self.talg.zero())
 
+    def is_exact_zero(self, a):
+        # not ``is_zero``: a zero modulo its order still carries that order
+        return a.order is None and not a.value
+
     def from_group(self, parent_gid):
         local = self.from_parent.get(parent_gid)
         if local is None:
@@ -317,8 +321,10 @@ def _zero_matrix(ctx):
 
 
 def _scale_matrix(m, poly):
-    A = m.ctx.A
-    return CentralizerElement(m.ctx, tuple(tuple(TElt(x.parent, x.value.scale(poly), x.order) for x in row) for row in m.mat))
+    is_zero = m.ctx.A.is_exact_zero
+    return CentralizerElement(
+        m.ctx, tuple(tuple(x if is_zero(x) else TElt(x.parent, x.value.scale(poly), x.order) for x in row) for row in m.mat)
+    )
 
 
 def subalgebra_presentation(ch, sub_ids, mu):
@@ -463,9 +469,10 @@ def _pairing_rhs_matrix(iso, yi, xj):
 
 
 def _matrices_agree(a, b, order):
+    is_zero = a.ctx.A.is_exact_zero
     for r1, r2 in zip(a.mat, b.mat):
         for x, y in zip(r1, r2):
-            if not x.eq_mod(y, order):
+            if not (is_zero(x) and is_zero(y)) and not x.eq_mod(y, order):
                 return (False, first_difference(x, y, order))
     return (True, None)
 

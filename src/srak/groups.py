@@ -14,8 +14,10 @@ im(s - 1) along ker(s - 1) and the induced skew form supported on that
 plane, both of which the algebra layer consumes.
 """
 
+import math
+
 from . import linalg
-from .coeffs import R0, R1, rat, rat_str
+from .coeffs import R0, R1, rat
 
 DEFAULT_MAX_ORDER = 20160
 
@@ -169,7 +171,13 @@ def generate_group(generators, omega, max_order=DEFAULT_MAX_ORDER, h_dim=None, g
 
     Element ids are assigned in breadth-first discovery order starting
     from the identity, which makes them deterministic for a fixed
-    generator list.
+    generator list.  The breadth-first search is the only place that
+    multiplies matrices (k * |generators| products for a group of order
+    k): it records the right-regular permutation of each generator and,
+    for every new element, the (parent id, generator) pair that reached
+    it.  The Cayley table, the inverses and the conjugacy classes then
+    follow by integer lookups, since mats[i] @ mats[j] is
+    (mats[i] @ mats[parent(j)]) @ generator(j).
     """
     if not generators:
         generators = []
@@ -188,35 +196,37 @@ def generate_group(generators, omega, max_order=DEFAULT_MAX_ORDER, h_dim=None, g
     ident = _freeze(linalg.mat_identity(dim))
     mats = [ident]
     index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = _freeze(linalg.mat_mul(_thaw(m), _thaw(g)))
-                if p not in index:
-                    if len(mats) >= max_order:
-                        raise GroupError("group not finite within bound %d" % max_order)
-                    index[p] = len(mats)
-                    mats.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    k = len(mats)
-    table = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            p = _freeze(linalg.mat_mul(_thaw(mats[i]), _thaw(mats[j])))
+    word = [None]  # word[j] = (parent id, generator position) with mats[j] = mats[parent] @ gens[pos]
+    right = []  # right[i][pos] = index of mats[i] @ gens[pos]
+    # ids are handed out in discovery order, so scanning them in id order
+    # is the breadth-first search, one frontier after the other
+    i = 0
+    while i < len(mats):
+        m = _thaw(mats[i])
+        row = []
+        for pos, g in enumerate(gens):
+            p = _freeze(linalg.mat_mul(m, _thaw(g)))
             pid = index.get(p)
             if pid is None:
-                raise GroupError("closure bookkeeping failed")  # pragma: no cover
-            table[i][j] = pid
-    inv = [0] * k
+                if len(mats) >= max_order:
+                    raise GroupError("group not finite within bound %d" % max_order)
+                pid = index[p] = len(mats)
+                mats.append(p)
+                word.append((i, pos))
+            row.append(pid)
+        right.append(row)
+        i += 1
+    k = len(mats)
+    table = []
     for i in range(k):
-        for j in range(k):
-            if table[i][j] == 0:
-                inv[i] = j
-                break
-    # conjugacy classes: orbits of the conjugation action
+        row = [i]
+        for j in range(1, k):
+            parent, pos = word[j]
+            row.append(right[row[parent]][pos])
+        table.append(row)
+    inv = [row.index(0) for row in table]
+    gen_ids = [index[g] for g in gens]
+    # conjugacy classes: orbits under conjugation by the generators
     seen = [False] * k
     classes = []
     for i in range(k):
@@ -226,7 +236,7 @@ def generate_group(generators, omega, max_order=DEFAULT_MAX_ORDER, h_dim=None, g
         stack = [i]
         while stack:
             x = stack.pop()
-            for g in range(k):
+            for g in gen_ids:
                 y = table[table[g][x]][inv[g]]
                 if y not in orbit:
                     orbit.add(y)
@@ -234,7 +244,6 @@ def generate_group(generators, omega, max_order=DEFAULT_MAX_ORDER, h_dim=None, g
         for x in orbit:
             seen[x] = True
         classes.append(tuple(sorted(orbit)))
-    gen_ids = [index[g] for g in gens]
     return FiniteSymplecticGroup(dim, om, mats, table, inv, classes, gen_ids, h_dim=h_dim, gen_names=gen_names)
 
 
@@ -521,6 +530,9 @@ def group_from_spec(spec, max_order=DEFAULT_MAX_ORDER):
         n = int(b["n"])
         rep = b.get("rep", "reflection")
         hgens = symmetric_group_hgens(n, rep)
+        if math.factorial(n) > max_order:
+            # both representations are faithful, so the order is n!
+            raise GroupError("group not finite within bound %d" % max_order)
         names = spec.get("gen_names") or ["s%d" % (i + 1) for i in range(len(hgens))]
     else:
         if "dim_h" not in spec or "generators_on_h" not in spec:
@@ -551,7 +563,3 @@ def invariant_metric(G):
             for j in range(n):
                 total[i][j] = total[i][j] + p[i][j]
     return linalg.mat_scale(total, rat(1, G.order))
-
-
-def format_matrix(mat):
-    return [[rat_str(x) for x in row] for row in mat]

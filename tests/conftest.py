@@ -15,6 +15,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in LINES:
             terminalreporter.write_line(line)
 
+
 S2_SPEC = {"builtin": {"type": "symmetric", "n": 2, "rep": "reflection"}, "gen_names": ["s"]}
 S3_SPEC = {"builtin": {"type": "symmetric", "n": 3, "rep": "reflection"}, "gen_names": ["s1", "s2"]}
 WEYL_SPEC = {"dim_h": 1, "generators_on_h": []}
@@ -58,3 +59,19 @@ def omega_alg2(g2, rd2):
 @pytest.fixture(scope="session")
 def omega_alg3(g3, rd3):
     return S.SRAlgebra.omega_form(g3, rd3)
+
+
+def dense_product(a, b):
+    """Reference coset-matrix product: every one of the k^3 entry products,
+    zero factors included, summed in the order of the middle index."""
+    A, k = a.ctx.A, a.ctx.k
+    rows = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            acc = A.zero()
+            for l in range(k):
+                acc = A.add(acc, A.mul(a.mat[i][l], b.mat[l][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)

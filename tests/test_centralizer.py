@@ -1,8 +1,11 @@
 import pytest
 
 from srak import centralizer as C
+from srak import completion as CP
 from srak import groups as G
 from srak.coeffs import R0, R1, rat
+
+from conftest import dense_product
 
 
 def s2_in_s3(g3):
@@ -430,3 +433,40 @@ def test_derivation_lift_rejects_non_leibniz(g3):
     # and must be rejected by the Leibniz check
     with pytest.raises(C.CentralizerError):
         C.derivation_lift(ctx, A.derivative, samples=A.basis())
+
+
+def _sparse_samples(ctx, extra):
+    """Group images plus matrices mixing them with the given entries."""
+    out = [C.embed_group(ctx, g) for g in range(ctx.group.order)]
+    k = ctx.k
+    z = ctx.A.zero()
+    for n, a in enumerate(extra):
+        rows = [[z] * k for _ in range(k)]
+        rows[n % k][n % k] = a
+        rows[n % k][(n + 1) % k] = a
+        out.append(ctx.from_matrix(rows) + out[(n + 1) % len(out)])
+    return out
+
+
+def test_sparse_product_matches_dense_group_algebra(g3):
+    sub = s2_in_s3(g3)
+    A = C.GroupAlgebraCoefficients(g3, sub)
+    ctx = C.build_centralizer(g3, sub, A)
+    extra = [A.from_group(sub[1]), A.add(A.one(), A.scale(rat(-3, 2), A.from_group(sub[1])))]
+    samples = _sparse_samples(ctx, extra) + [C.idempotent(ctx, 1), ctx.zero()]
+    for a in samples:
+        for b in samples:
+            assert (a * b).mat == dense_product(a, b)
+
+
+def test_sparse_product_matches_dense_sra(ch3):
+    sub = s2_in_s3(ch3.group)
+    alg, _sub, to_parent = CP.subalgebra_presentation(ch3, sub, R1)
+    A = C.SRACoefficients(alg, ch3.group, to_parent)
+    ctx = C.build_centralizer(ch3.group, sub, A)
+    x, y = alg.gen(0), alg.gen(alg.x_count + 1)
+    extra = [x, A.add(A.mul(y, x), A.from_group(sub[1])), A.mul(x, y)]
+    samples = _sparse_samples(ctx, extra)
+    for a in samples:
+        for b in samples:
+            assert (a * b).mat == dense_product(a, b)

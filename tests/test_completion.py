@@ -8,7 +8,7 @@ from srak import sra as S
 from srak.coeffs import ParamPoly, R0, R1, rat
 from srak.selftest import tampered_cherednik
 
-from conftest import S3_SPEC
+from conftest import S3_SPEC, dense_product
 
 
 def test_recenter_identity(ch2):
@@ -252,3 +252,73 @@ def test_mutation_breaks_completion(ch3):
     rep = CP.verify_homomorphism(iso)
     assert not rep["all_pass"]
     assert not rep["relations"]["y_x_commutator"]["pass"]
+
+
+def _order_key(telt):
+    return float("inf") if telt.order is None else telt.order
+
+
+def test_sparse_product_over_truncated_coefficients(ch3):
+    iso = CP.completion_iso(ch3, [rat(2), rat(1)], 4)
+    samples = list(iso.w_images.values()) + iso.x_images + iso.y_images
+    samples.append(iso.y_images[0] * iso.x_images[1])
+    for a in samples:
+        for b in samples:
+            sparse = (a * b).mat
+            dense = dense_product(a, b)
+            for r1, r2 in zip(sparse, dense):
+                for x, y in zip(r1, r2):
+                    assert x.eq_mod(y)
+                    assert _order_key(x) >= _order_key(y)
+
+
+def test_sparse_product_exact_and_truncated_zeros(ch3):
+    iso = CP.completion_iso(ch3, [rat(2), rat(1)], 4)
+    ctx, A, talg = iso.ctx, iso.ctx.A, iso.talg
+    y = iso.y_images[0]
+    assert any(e.order is not None for row in y.mat for e in row)
+    # an exact zero times truncated entries stays an exact zero
+    for row in (ctx.zero() * y).mat:
+        for e in row:
+            assert A.is_exact_zero(e)
+    # a zero that is only known modulo order 3 is not skipped: the y-degree
+    # of each partner entry is debited from its order
+    debt = CP.TElt(talg, talg.algebra.zero(), 3)
+    assert A.is_zero(debt) and not A.is_exact_zero(debt)
+    rows = [[talg.zero()] * ctx.k for _ in range(ctx.k)]
+    rows[0][0] = debt
+    prod = ctx.from_matrix(rows) * y
+    dense = dense_product(ctx.from_matrix(rows), y)
+    debited = 0
+    for j, e in enumerate(prod.mat[0]):
+        partner = y.mat[0][j]
+        if A.is_exact_zero(partner):
+            assert A.is_exact_zero(e)
+            continue
+        expected = 3 - partner.value.ydegree()
+        if partner.order is not None:
+            expected = min(expected, partner.order)
+        assert not e.value and not A.is_exact_zero(e)
+        assert e.order == expected == dense[0][j].order
+        debited += expected < 3
+    assert debited
+
+
+def test_verify_product_count(ch3, monkeypatch):
+    # a count, not a time: it repeats exactly, so a return to dense
+    # coset-matrix products (2592 here) shows without host noise
+    iso = CP.completion_iso(ch3, [rat(2), rat(1)], 4)
+    mul = CP.TElt.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(CP.TElt, "__mul__", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert CP.verify_homomorphism(iso)["all_pass"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 528

@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 import sympy as sp
 
@@ -184,3 +187,66 @@ def test_permutation_representation():
     assert g.dim == 6
     rd = G.symplectic_reflections(g)
     assert len(rd.reflections) == 3
+
+
+# a dihedral group of order 8 in a skew basis, so that its matrices have
+# denominators
+DIHEDRAL_SKEW = {"dim_h": 2, "generators_on_h": [[["1/2", "-5/2"], ["1/2", "-1/2"]], [[1, -2], [0, -1]]]}
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [({"builtin": {"type": "symmetric", "n": n}}, math.factorial(n)) for n in (3, 4, 5)] + [(DIHEDRAL_SKEW, 8)],
+    ids=["S3", "S4", "S5", "dihedral-skew"],
+)
+def test_closure_tables_against_matrix_products(spec, order):
+    g = G.group_from_spec(spec)
+    k = g.order
+    assert k == order
+    # every table entry against the product of the matrices, computed with
+    # integers after clearing a common denominator d: (d a)(d b) = d (d ab)
+    d = math.lcm(*(int(x.denominator) for m in g.mats for row in m for x in row))
+    ints = [tuple(tuple(int(x * d) for x in row) for row in m) for m in g.mats]
+    cols = [tuple(zip(*m)) for m in ints]
+    index = {tuple(tuple(d * x for x in row) for row in m): i for i, m in enumerate(ints)}
+    assert len(index) == k
+    for i in range(k):
+        for j in range(k):
+            prod = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols[j]) for row in ints[i])
+            assert g.table[i][j] == index[prod]
+    for i in range(k):
+        assert g.table[i][g.inv[i]] == 0 == g.table[g.inv[i]][i]
+    # the classes partition the group into orbits of conjugation by every element
+    assert sorted(x for cl in g.classes for x in cl) == list(range(k))
+    for cl in g.classes:
+        for x in cl:
+            assert {g.conjugate(h, x) for h in range(k)} == set(cl)
+
+
+def test_closure_matrix_product_count(monkeypatch):
+    # a count, not a time: each of the 24 elements of S4 times each of the
+    # 3 generators, plus the two products of each generator's form check
+    mat_mul = linalg.mat_mul
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    g = G.group_from_spec({"builtin": {"type": "symmetric", "n": 4}})
+    assert g.order == 24 and len(g.generator_ids) == 3
+    assert len(calls) <= 24 * 3 + 2 * 3
+
+
+def test_oversized_builtin_fails_before_closure(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(G, "generate_group", no_closure)
+    start = time.perf_counter()
+    with pytest.raises(G.GroupError, match="not finite within bound %d" % G.DEFAULT_MAX_ORDER):
+        G.group_from_spec({"builtin": {"type": "symmetric", "n": 9}})
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(G.GroupError, match="not finite within bound 100"):
+        G.group_from_spec({"builtin": {"type": "symmetric", "n": 5, "rep": "permutation"}}, max_order=100)
