@@ -26,6 +26,8 @@ singular vectors through its kernel; total collapse of its rank detects
 finite-dimensional simple quotients.
 """
 
+from itertools import combinations_with_replacement
+
 from . import groups as G
 from . import linalg
 from .coeffs import ParamPoly, R0, R1, parse_rational, rat, rat_str
@@ -301,22 +303,12 @@ class StandardModule:
     def degree(self, u):
         return max((sum(e) for (e, _) in u), default=0)
 
-    def graded_component(self, u, d):
-        return {k: p for k, p in u.items() if sum(k[0]) == d}
-
     def mul_x(self, i, u):
         out = {}
         for (e, c), p in u.items():
             e2 = list(e)
             e2[i] += 1
             out[(tuple(e2), c)] = p
-        return out
-
-    def mul_linear(self, coeffs, u):
-        out = {}
-        for i, a in enumerate(coeffs):
-            if a:
-                out = self.add(out, self.scale(self.mul_x(i, u), a))
         return out
 
     def act_poly(self, gid, u):
@@ -460,18 +452,13 @@ class StandardModule:
         return self.lowering([R1 if j == i else R0 for j in range(self.n)], u)
 
 
-def dunkl_apply(ch, y_coeffs, vector, tau=None, module=None):
-    """Apply the y-action to a module vector; degree drops by one."""
-    mod = module if module is not None else StandardModule(ch, tau)
-    return mod.lowering(list(y_coeffs), vector)
-
-
 def solve_module_sign(ch, degree=3):
     """The unique sign making the module satisfy the defining relations."""
     good = []
     for sign in (1, -1):
         mod = StandardModule(ch, sign=sign)
-        if _module_relations_hold(ch, mod, degree):
+        vectors = (mod.monomial(e) for d in range(degree + 1) for e in _monomials(ch.h_dim, d))
+        if all(_y_x_commutator_holds(ch, mod, u) for u in vectors):
             good.append(sign)
     if len(good) != 1:
         raise CherednikError("module sign is not pinned by the relations")
@@ -479,17 +466,8 @@ def solve_module_sign(ch, degree=3):
 
 
 def _monomials(n, d):
-    out = [()]
-    for _ in range(d):
-        out = [m + (i,) for m in out for i in range(n)]
-    # exponent form
-    res = set()
-    for m in out:
-        e = [0] * n
-        for i in m:
-            e[i] += 1
-        res.add(tuple(e))
-    return sorted(res)
+    """Exponent tuples of the degree-d monomials in n variables, sorted."""
+    return sorted(tuple(m.count(i) for i in range(n)) for m in combinations_with_replacement(range(n), d))
 
 
 def module_relation_report(ch, max_degree, tau=None):
@@ -541,50 +519,32 @@ def module_relation_report(ch, max_degree, tau=None):
                 rhs = mod.lowering([hb[i][j] for i in range(n)], u)
                 if not mod.eq(lhs, rhs):
                     ok["w_y_conjugation"] = False
-        for i in range(n):
-            for j in range(n):
-                lhs = mod.add(
-                    mod.lowering_basis(i, mod.mul_x(j, u)),
-                    mod.scale(mod.mul_x(j, mod.lowering_basis(i, u)), -R1),
-                )
-                rhs = {}
-                if i == j:
-                    rhs = mod.scale(u, ParamPoly.var(ch.nparams, 0))
-                for ref in ch.reflections:
-                    coeff = -(ref.alpha_vee[j] * ref.alpha[i])
-                    if coeff:
-                        rhs = mod.add(
-                            rhs,
-                            mod.scale(mod.act(ref.gid, u), ParamPoly.var(ch.nparams, ref.orbit + 1, coeff=coeff)),
-                        )
-                if not mod.eq(lhs, rhs):
-                    ok["y_x_commutator"] = False
+        if not _y_x_commutator_holds(ch, mod, u):
+            ok["y_x_commutator"] = False
     return ok
 
 
-def _module_relations_hold(ch, mod, max_degree):
+def _y_x_commutator_holds(ch, mod, u):
+    """Whether every [y_i, x_j] acts on the vector u as its group-algebra value."""
     n = ch.h_dim
-    for d in range(max_degree + 1):
-        for e in _monomials(n, d):
-            u = mod.monomial(e)
-            for i in range(n):
-                for j in range(n):
-                    lhs = mod.add(
-                        mod.lowering_basis(i, mod.mul_x(j, u)),
-                        mod.scale(mod.mul_x(j, mod.lowering_basis(i, u)), -R1),
+    for i in range(n):
+        for j in range(n):
+            lhs = mod.add(
+                mod.lowering_basis(i, mod.mul_x(j, u)),
+                mod.scale(mod.mul_x(j, mod.lowering_basis(i, u)), -R1),
+            )
+            rhs = {}
+            if i == j:
+                rhs = mod.scale(u, ParamPoly.var(ch.nparams, 0))
+            for ref in ch.reflections:
+                coeff = -(ref.alpha_vee[j] * ref.alpha[i])
+                if coeff:
+                    rhs = mod.add(
+                        rhs,
+                        mod.scale(mod.act(ref.gid, u), ParamPoly.var(ch.nparams, ref.orbit + 1, coeff=coeff)),
                     )
-                    rhs = {}
-                    if i == j:
-                        rhs = mod.scale(u, ParamPoly.var(ch.nparams, 0))
-                    for ref in ch.reflections:
-                        coeff = -(ref.alpha_vee[j] * ref.alpha[i])
-                        if coeff:
-                            rhs = mod.add(
-                                rhs,
-                                mod.scale(mod.act(ref.gid, u), ParamPoly.var(ch.nparams, ref.orbit + 1, coeff=coeff)),
-                            )
-                    if not mod.eq(lhs, rhs):
-                        return False
+            if not mod.eq(lhs, rhs):
+                return False
     return True
 
 
@@ -749,7 +709,7 @@ def scan_one(grams, cutoff, cval):
     return out
 
 
-def finite_dim_scan(ch, c_list, cutoff, grams=None):
+def finite_dim_scan(ch, c_list, cutoff):
     """Rank profile of the pairing for each parameter value.
 
     Both one-dimensional lowest weights (trivial and determinant) are
@@ -761,8 +721,7 @@ def finite_dim_scan(ch, c_list, cutoff, grams=None):
     """
     if ch.nparams != 2:
         raise CherednikError("scan expects a single reflection orbit")
-    if grams is None:
-        grams = scan_grams(ch, cutoff)
+    grams = scan_grams(ch, cutoff)
     out = []
     for c in c_list:
         cval = parse_rational(c) if isinstance(c, str) else (rat(c) if isinstance(c, int) else c)

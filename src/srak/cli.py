@@ -7,8 +7,7 @@ selftest.  Group specs are JSON files (fields ``dim_h``,
 shorthand ``symmetric:<n>:<rep>``.  Reports are deterministic JSON on
 stdout (or --out); human summaries and timing go to stderr.  Exit codes:
 0 all verdicts pass, 2 parse/spec errors, 3 computational precondition
-failures.  SRAK_THREADS bounds scan parallelism; no other environment
-variable is consulted.
+failures.  No environment variable is consulted.
 """
 
 import argparse
@@ -68,6 +67,14 @@ def parse_c_list(text):
             return [parse_rational(str(x)) for x in json.loads(content)]
         return [parse_rational(line) for line in content.split() if line.strip()]
     return [parse_rational(chunk) for chunk in text.split(",") if chunk.strip()]
+
+
+def non_negative_int(text):
+    """argparse type for degrees and cutoffs."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %s" % text)
+    return value
 
 
 def parse_c_values(text, nparams):
@@ -208,24 +215,6 @@ def cmd_cherednik_gram(args):
     return emit(report, args, t0)
 
 
-def _scan_with_threads(ch, c_list, cutoff):
-    threads = int(os.environ.get("SRAK_THREADS", "1") or "1")
-    grams = CH.scan_grams(ch, cutoff)
-    if threads <= 1 or len(c_list) <= 1:
-        return CH.finite_dim_scan(ch, c_list, cutoff, grams=grams)
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = [(grams, cutoff, c) for c in c_list]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_scan_one_star, jobs))
-    return results
-
-
-def _scan_one_star(job):
-    grams, cutoff, c = job
-    return CH.scan_one(grams, cutoff, c)
-
-
 def cmd_cherednik_scan(args):
     t0 = time.time()
     if args.builtin:
@@ -235,9 +224,11 @@ def cmd_cherednik_scan(args):
         if not args.group:
             raise CliParseError("scan needs --group or --builtin")
         spec = load_group_spec(args.group)
-    ch = CH.build_cherednik(spec)
     c_list = parse_c_list(args.c_list)
-    results = _scan_with_threads(ch, c_list, args.cutoff)
+    if not c_list:
+        raise CliParseError("--c-list names no parameter value")
+    ch = CH.build_cherednik(spec)
+    results = CH.finite_dim_scan(ch, c_list, args.cutoff)
     report = Report("cherednik scan --c-list %s --cutoff %d" % (args.c_list, args.cutoff))
     for res in results:
         report.add("c=%s" % res["c"], "pairing rank collapse detects finite quotients", "info", res)
@@ -341,7 +332,7 @@ def build_parser():
     sm.set_defaults(fn=cmd_sra_mul)
     sc = ssub.add_parser("center")
     sc.add_argument("--group", required=True)
-    sc.add_argument("--deg", type=int, required=True)
+    sc.add_argument("--deg", type=non_negative_int, required=True)
     sc.add_argument("--c", default="generic")
     sc.add_argument("--sample", action="store_true",
                     help="specialize at deterministic sampled rationals instead of symbolic parameters")
@@ -367,20 +358,20 @@ def build_parser():
     cg = chsub.add_parser("gram")
     cg.add_argument("--group", required=True)
     cg.add_argument("--c", default="generic")
-    cg.add_argument("--deg", type=int, required=True)
+    cg.add_argument("--deg", type=non_negative_int, required=True)
     add_out(cg)
     cg.set_defaults(fn=cmd_cherednik_gram)
     csn = chsub.add_parser("scan")
     csn.add_argument("--group")
     csn.add_argument("--builtin")
     csn.add_argument("--c-list", dest="c_list", required=True)
-    csn.add_argument("--cutoff", type=int, required=True)
+    csn.add_argument("--cutoff", type=non_negative_int, required=True)
     add_out(csn)
     csn.set_defaults(fn=cmd_cherednik_scan)
     ct = chsub.add_parser("typea")
     ct.add_argument("--n", type=int, required=True)
     ct.add_argument("--c", required=True)
-    ct.add_argument("--slice-cutoff", dest="slice_cutoff", type=int)
+    ct.add_argument("--slice-cutoff", dest="slice_cutoff", type=non_negative_int)
     add_out(ct)
     ct.set_defaults(fn=cmd_cherednik_typea)
 

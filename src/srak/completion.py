@@ -60,9 +60,6 @@ class TruncatedAlgebra:
     def group_elt(self, gid):
         return TElt(self, self.algebra.group_elt(gid), None)
 
-    def x_gen(self, i):
-        return TElt(self, self.algebra.gen(i), None)
-
     def y_gen(self, i):
         return TElt(self, self.algebra.gen(self.algebra.x_count + i), None)
 
@@ -152,11 +149,6 @@ class TElt:
 
     def __rmul__(self, scalar):
         return TElt(self.parent, self.value.scale(scalar), self.order)
-
-    def reduce_to(self, order):
-        if self.order is not None and order > self.order:
-            raise CompletionError("cannot raise a truncated element's valid order")
-        return TElt(self.parent, self.value.truncate_x(order), order)
 
     def eq_mod(self, other, order=None):
         o = min(self._effective(), other._effective())

@@ -96,12 +96,6 @@ class FiniteSymplecticGroup:
         n = self.dim
         return tuple(sum((minv[i][j] * covec[i] for i in range(n)), R0) for j in range(n))
 
-    def class_of(self, i):
-        for k, cl in enumerate(self.classes):
-            if i in cl:
-                return k
-        raise GroupError("unknown element id")
-
     def omega_eval(self, x, y):
         n = self.dim
         return sum((x[i] * self.omega[i][j] * y[j] for i in range(n) for j in range(n)), R0)

@@ -27,6 +27,7 @@ between threads.
 
 import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from . import linalg
 from .coeffs import ParamPoly, R0, R1, rat
@@ -416,19 +417,6 @@ class SRAElement:
         xc = self.algebra.x_count
         return max((sum(1 for v in m if v >= xc) for (m, _) in self.terms), default=0)
 
-    def weight_homogeneous_degree(self):
-        """Scaling weight when homogeneous (vectors weight 1, parameters
-        weight 2), else None."""
-        w = None
-        for (m, _), p in self.terms.items():
-            for e in p.terms:
-                cand = len(m) + 2 * sum(e)
-                if w is None:
-                    w = cand
-                elif w != cand:
-                    return None
-        return w
-
     def coefficient(self, mono, gid):
         return self.terms.get((tuple(mono), gid), ParamPoly.zero(self.algebra.nparams))
 
@@ -640,25 +628,11 @@ def _coord_keys(alg, d, c_values, include_t):
     V-degree <= d.  With symbolic parameters the keys carry parameter
     exponents and enumeration is by scaling weight; with specialized
     parameters the exponents are all zero."""
-    n = alg.nv
+    coords = range(alg.nv)
     keys = []
-
-    def monos(deg):
-        if deg == 0:
-            yield ()
-            return
-        stack = [((), 0)]
-        while stack:
-            prefix, start = stack.pop()
-            if len(prefix) == deg:
-                yield prefix
-                continue
-            for v in range(start, n):
-                stack.append((prefix + (v,), v))
-
     if c_values is not None:
         for deg in range(d + 1):
-            for m in sorted(monos(deg)):
+            for m in combinations_with_replacement(coords, deg):
                 for g in range(alg.group.order):
                     keys.append((m, g, (0,) * alg.nparams))
         return keys
@@ -686,7 +660,7 @@ def _coord_keys(alg, d, c_values, include_t):
     for w in range(d + 1):
         for pdeg in range(w // 2 + 1):
             vdeg = w - 2 * pdeg
-            for m in sorted(monos(vdeg)):
+            for m in combinations_with_replacement(coords, vdeg):
                 for g in range(alg.group.order):
                     for pe in sorted(pexps(pdeg)):
                         keys.append((m, g, pe))
@@ -881,21 +855,8 @@ def satake_corner_check(alg, basis, d, c_values=None):
     slots2 = {}
     tr2 = linalg.RankTracker(0)
     corner_vecs = []
-    n = alg.nv
-
-    def monos(deg):
-        out = [()]
-        for _ in range(deg):
-            nxt = []
-            for m in out:
-                start = m[-1] if m else 0
-                for v in range(start, n):
-                    nxt.append(m + (v,))
-            out = nxt
-        return out
-
     for deg in range(d + 1):
-        for m in monos(deg):
+        for m in combinations_with_replacement(range(alg.nv), deg):
             for g in range(alg.group.order):
                 z = SRAElement(alg, {(m, g): ParamPoly.one(alg.nparams)})
                 w = spherical_corner(alg, z).specialize(t=R0)
@@ -919,28 +880,13 @@ def ideal_recovery_check(alg, basis, gens, d, c_values):
         return z.specialize(t=R0, c=c_values)
 
     slots = {}
-    n = alg.nv
-
-    def monos_upto(deg):
-        out = [()]
-        acc = [()]
-        for _ in range(deg):
-            nxt = []
-            for m in acc:
-                start = m[-1] if m else 0
-                for v in range(start, n):
-                    nxt.append(m + (v,))
-            out.extend(nxt)
-            acc = nxt
-        return out
-
     hi_vecs = []
     for g in gens:
-        gdeg = g.vdegree()
-        for m in monos_upto(max(0, d - gdeg)):
-            for gg in range(alg.group.order):
-                h = SRAElement(alg, {(m, gg): ParamPoly.one(alg.nparams)})
-                hi_vecs.append(_flatten(alg, at(alg.multiply(h, g)), slots))
+        for deg in range(max(0, d - g.vdegree()) + 1):
+            for m in combinations_with_replacement(range(alg.nv), deg):
+                for gg in range(alg.group.order):
+                    h = SRAElement(alg, {(m, gg): ParamPoly.one(alg.nparams)})
+                    hi_vecs.append(_flatten(alg, at(alg.multiply(h, g)), slots))
     z_vecs = [_flatten(alg, at(z), slots) for z in basis if z.vdegree() <= d]
     zi_vecs = []
     for g in gens:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from srak import cherednik as CH
@@ -97,6 +99,13 @@ def test_dunkl_degree_drop(ch3):
             out = mod.lowering_basis(i, v)
             if out:
                 assert mod.degree(out) == sum(e) - 1
+
+
+def test_monomials_match_brute_force():
+    for n in range(1, 5):
+        for d in range(6):
+            brute = sorted(e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d)
+            assert CH._monomials(n, d) == brute
 
 
 def test_module_relations_and_commutativity(ch2, ch3):

@@ -1,25 +1,25 @@
+import concurrent.futures
 import json
 import os
 import subprocess
 import sys
 
-PKG = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import pytest
+
+from srak import cli
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_cli(args, env_extra=None, clean_env=False):
-    if clean_env:
-        env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin")}
-    else:
-        env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    env.setdefault("PYTHONPATH", os.path.join(PKG, "src"))
+def run_cli(args, clean_env=False):
+    """``python -m srak.cli`` run from the source tree, which puts it first
+    on the module path; ``clean_env`` runs it with an empty environment."""
     return subprocess.run(
         [sys.executable, "-m", "srak.cli"] + args,
         capture_output=True,
         text=True,
-        env=env,
-        cwd=PKG,
+        env={} if clean_env else None,
+        cwd=SRC,
         timeout=600,
     )
 
@@ -74,12 +74,36 @@ def test_scan_builtin_and_preset():
     }
 
 
-def test_scan_respects_thread_env():
-    base = ["cherednik", "scan", "--builtin", "symmetric:2:reflection", "--c-list", "1/2,1/3", "--cutoff", "4"]
-    r1 = run_cli(base)
-    r2 = run_cli(base, env_extra={"SRAK_THREADS": "2"})
-    assert r1.returncode == 0 and r2.returncode == 0
-    assert r1.stdout == r2.stdout  # deterministic merge order
+@pytest.mark.parametrize("argv", [
+    ["cherednik", "scan", "--builtin", "symmetric:2:reflection", "--c-list", "1/2", "--cutoff", "-1"],
+    ["cherednik", "typea", "--n", "3", "--c", "1/2", "--slice-cutoff", "-1"],
+    ["cherednik", "scan", "--builtin", "symmetric:2:reflection", "--c-list", ",", "--cutoff", "2"],
+    ["cherednik", "gram", "--group", "symmetric:2:reflection", "--deg", "-1"],
+    ["sra", "center", "--group", "symmetric:2:reflection", "--deg", "-1"],
+], ids=["scan-cutoff", "typea-slice-cutoff", "scan-empty-c-list", "gram-deg", "center-deg"])
+def test_bad_input_exits_2(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejected an argument
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_scan_reads_no_environment(monkeypatch, capsys):
+    # the variable that once sized a scan process pool changes nothing
+    argv = ["cherednik", "scan", "--builtin", "symmetric:2:reflection", "--c-list", "1/2,1/3", "--cutoff", "4"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the scan started a process pool")
+
+    monkeypatch.setenv("SRAK_THREADS", "2")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_group_analyze(tmp_path):
