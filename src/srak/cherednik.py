@@ -556,6 +556,78 @@ def determinant_character(ch):
     return {g: ((linalg.mat_det([list(r) for r in ch.group.h_block(g)]),),) for g in range(ch.group.order)}
 
 
+def gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
+    """Pairing matrices B_d(f, g) = (f(D) g)(0) for d = 0..cutoff at t = 1.
+
+    One pass by degree recursion (the contravariant form of Dunkl, de
+    Jeu and Opdam, 1994): peel the lowest index i with f_i > 0, so that
+    f = x_i f', and
+
+        B_d(f, g) = sum_h B_{d-1}(f', h) (D_i g)_h
+
+    over the degree-(d-1) support of D_i g.  f(D) applies all D_0 first,
+    then D_1, ..., and peeling the lowest index keeps exactly that order,
+    so every entry equals the per-pair definition even where the D's fail
+    to commute.  A degree costs n * dim_d lowering applications (one per
+    coordinate and column) instead of d * dim_d^2, plus about
+    dim_d^2 * dim_{d-1} parameter-polynomial products; only the previous
+    degree's matrix and monomial index are kept while building.
+
+    ``duals`` lists the y-coordinate vectors substituted for x_0..x_{n-1};
+    None means the dual basis vectors (``StandardModule.lowering_basis``).
+    The coefficients of D_i g are specialized at t = 1 (and at
+    ``c_values``) before multiplying, which gives the same values since
+    specialization is a ring homomorphism.  Returns a list of
+    (monomials, rows) per degree; see ``contravariant_gram``.
+    """
+    if cutoff < 0:
+        raise CherednikError("the pairing degree must be non-negative, got %d" % cutoff)
+    mod = StandardModule(ch, tau=tau)
+    if mod.tau_dim != 1:
+        raise CherednikError("the pairing matrix is implemented for one-dimensional lowest weights")
+    n = ch.h_dim
+    spec = {0: R1}
+    if c_values is not None:
+        for i, v in enumerate(c_values):
+            spec[i + 1] = rat(v) if isinstance(v, int) else v
+    zero = ParamPoly.zero(ch.nparams)
+    prev_index = {(0,) * n: 0}
+    prev_rows = [[ParamPoly.one(ch.nparams).specialize(spec)]]
+    tower = [([(0,) * n], prev_rows)]
+    for d in range(1, cutoff + 1):
+        monos = _monomials(n, d)
+        # lowered[i][k]: D_i of the k-th monomial as (previous index, value) pairs
+        lowered = []
+        for i in range(n):
+            cols = []
+            for g in monos:
+                vec = mod.monomial(g)
+                vec = mod.lowering_basis(i, vec) if duals is None else mod.lowering(duals[i], vec)
+                col = []
+                for (e, _), p in vec.items():
+                    val = p.specialize(spec)
+                    if val:
+                        col.append((prev_index[e], val))
+                cols.append(col)
+            lowered.append(cols)
+        rows = []
+        for f in monos:
+            i = next(j for j, k in enumerate(f) if k)
+            prev_row = prev_rows[prev_index[f[:i] + (f[i] - 1,) + f[i + 1:]]]
+            row = []
+            for col in lowered[i]:
+                acc = zero
+                for h, val in col:
+                    if prev_row[h]:
+                        acc = acc + prev_row[h] * val
+                row.append(acc)
+            rows.append(row)
+        tower.append((monos, rows))
+        prev_index = {e: k for k, e in enumerate(monos)}
+        prev_rows = rows
+    return tower
+
+
 def contravariant_gram(ch, d, c_values=None, tau=None):
     """Gram matrix of B(f, g) = (f(D) g)(0) on degree-d monomials at t = 1.
 
@@ -567,33 +639,18 @@ def contravariant_gram(ch, d, c_values=None, tau=None):
     change of rows, so ranks and kernels, which are all the scan
     verdicts consume, agree.  B_0 = 1 in both conventions.
 
+    Built by ``gram_tower``: the degree-d matrix comes from the
+    degree-(d-1) one by peeling the lowest index of each row monomial,
+    f = x_i f', with B_d(f, g) = sum_h B_{d-1}(f', h) (D_i g)_h, at a cost
+    of n * dim_k lowering applications for each degree k <= d.
+
     ``tau`` restricts to one-dimensional lowest weights here (matrices
     per group element); None means trivial.  Entries are parameter
     polynomials in the orbit parameters (or rationals when ``c_values``
     specializes them).  Row/column order is the sorted exponent order of
     ``_monomials``.
     """
-    mod = StandardModule(ch, tau=tau)
-    if mod.tau_dim != 1:
-        raise CherednikError("the pairing matrix is implemented for one-dimensional lowest weights")
-    n = ch.h_dim
-    monos = _monomials(n, d)
-    spec = {0: R1}
-    if c_values is not None:
-        for i, v in enumerate(c_values):
-            spec[i + 1] = rat(v) if isinstance(v, int) else v
-    rows = []
-    for f in monos:
-        row = []
-        for g in monos:
-            vec = mod.monomial(g)
-            for i in range(n):
-                for _ in range(f[i]):
-                    vec = mod.lowering_basis(i, vec)
-            val = vec.get(((0,) * n, 0), ParamPoly.zero(ch.nparams)).specialize(spec)
-            row.append(val)
-        rows.append(row)
-    return monos, rows
+    return gram_tower(ch, d, c_values=c_values, tau=tau)[d]
 
 
 def symmetric_contravariant_gram(ch, d, c_values=None):
@@ -603,29 +660,9 @@ def symmetric_contravariant_gram(ch, d, c_values=None):
     the metric dual of the i-th coordinate; S_d is symmetric and
     congruent to the raw pairing matrix of ``contravariant_gram``.
     """
-    from .groups import invariant_metric
-
-    metric = invariant_metric(ch.group)
-    ginv = linalg.mat_inverse(metric)
-    mod = StandardModule(ch)
-    n = ch.h_dim
-    monos = _monomials(n, d)
-    spec = {0: R1}
-    if c_values is not None:
-        for i, v in enumerate(c_values):
-            spec[i + 1] = rat(v) if isinstance(v, int) else v
-    rows = []
-    for f in monos:
-        row = []
-        for g in monos:
-            vec = mod.monomial(g)
-            for i in range(n):
-                for _ in range(f[i]):
-                    vec = mod.lowering([ginv[j][i] for j in range(n)], vec)
-            val = vec.get(((0,) * n, 0), ParamPoly.zero(ch.nparams)).specialize(spec)
-            row.append(val)
-        rows.append(row)
-    return monos, rows
+    ginv = linalg.mat_inverse(G.invariant_metric(ch.group))
+    duals = [[row[i] for row in ginv] for i in range(ch.h_dim)]
+    return gram_tower(ch, d, c_values=c_values, duals=duals)[d]
 
 
 def gram_rank(rows):
@@ -673,11 +710,15 @@ def _rank_profile_verdict(ranks, cutoff):
 
 def scan_grams(ch, cutoff):
     """Symbolic pairing matrices for both one-dimensional lowest weights
-    (trivial and determinant), reusable across parameter values."""
-    det_tau = determinant_character(ch)
+    (trivial and determinant), reusable across parameter values.
+
+    One ``gram_tower`` per weight builds every degree up to the cutoff by
+    the lowest-index recursion, at n * dim_d lowering applications per
+    degree d (88 per weight for S3 at cutoff 8, against 1740 pair by pair).
+    """
     return {
-        "trivial": [contravariant_gram(ch, d)[1] for d in range(cutoff + 1)],
-        "determinant": [contravariant_gram(ch, d, tau=det_tau)[1] for d in range(cutoff + 1)],
+        "trivial": [rows for _, rows in gram_tower(ch, cutoff)],
+        "determinant": [rows for _, rows in gram_tower(ch, cutoff, tau=determinant_character(ch))],
     }
 
 
@@ -721,12 +762,11 @@ def finite_dim_scan(ch, c_list, cutoff):
     """
     if ch.nparams != 2:
         raise CherednikError("scan expects a single reflection orbit")
+    cvals = [parse_rational(c) if isinstance(c, str) else (rat(c) if isinstance(c, int) else c) for c in c_list]
+    if not cvals:
+        raise CherednikError("the scan names no parameter value")
     grams = scan_grams(ch, cutoff)
-    out = []
-    for c in c_list:
-        cval = parse_rational(c) if isinstance(c, str) else (rat(c) if isinstance(c, int) else c)
-        out.append(scan_one(grams, cutoff, cval))
-    return out
+    return [scan_one(grams, cutoff, cval) for cval in cvals]
 
 
 # -- type A -------------------------------------------------------------------

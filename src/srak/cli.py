@@ -133,10 +133,18 @@ def _build_cherednik(args):
     return CH.build_cherednik(load_group_spec(args.group))
 
 
+def parse_element(ch, text):
+    """An element literal of the algebra; a malformed one is a parse error."""
+    try:
+        return ch.algebra.parse(text)
+    except S.LiteralError as exc:
+        raise CliParseError(str(exc)) from None
+
+
 def cmd_sra_normalize(args):
     t0 = time.time()
     ch = _build_cherednik(args)
-    elt = ch.algebra.parse(args.expr)
+    elt = parse_element(ch, args.expr)
     report = Report("sra normalize --group %s --expr %r" % (args.group, args.expr))
     report.add("normal_form", "PBW normal ordering", "info", {"input": args.expr, "result": elt.to_str()})
     return emit(report, args, t0)
@@ -145,7 +153,7 @@ def cmd_sra_normalize(args):
 def cmd_sra_mul(args):
     t0 = time.time()
     ch = _build_cherednik(args)
-    lhs, rhs = ch.algebra.parse(args.lhs), ch.algebra.parse(args.rhs)
+    lhs, rhs = parse_element(ch, args.lhs), parse_element(ch, args.rhs)
     report = Report("sra mul --group %s" % args.group)
     report.add("product", "PBW normal ordering", "info",
                {"lhs": lhs.to_str(), "rhs": rhs.to_str(), "result": (lhs * rhs).to_str()})
@@ -180,7 +188,7 @@ def cmd_sra_center(args):
 def cmd_sra_poisson(args):
     t0 = time.time()
     ch = _build_cherednik(args)
-    z1, z2 = ch.algebra.parse(args.lhs), ch.algebra.parse(args.rhs)
+    z1, z2 = parse_element(ch, args.lhs), parse_element(ch, args.rhs)
     report = Report("sra poisson --group %s" % args.group)
     bracket = S.poisson_bracket(ch.algebra, z1, z2)
     report.add("bracket", "Poisson bracket on the t=0 center", "info",

@@ -38,6 +38,10 @@ class AlgebraError(ValueError):
     pass
 
 
+class LiteralError(AlgebraError):
+    """A malformed element literal."""
+
+
 def _poly_raw_const(arity, value):
     return {(0,) * arity: value} if value else {}
 
@@ -487,6 +491,10 @@ class SRAElement:
 
 # -- literal parsing ------------------------------------------------------
 
+# largest exponent an element literal may write: the power is built by
+# repeated multiplication, so an unbounded one is an unbounded computation
+MAX_LITERAL_EXPONENT = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -511,7 +519,7 @@ def _tokenize(text):
             tokens.append(text[i:j])
             i = j
         else:
-            raise AlgebraError("unexpected character %r in element literal" % ch)
+            raise LiteralError("unexpected character %r in element literal" % ch)
     return tokens
 
 
@@ -536,6 +544,8 @@ def _parse_element(alg, text):
 
     def take():
         nonlocal pos
+        if pos == len(tokens):
+            raise LiteralError("element literal %r ends early" % text)
         tok = tokens[pos]
         pos += 1
         return tok
@@ -545,11 +555,14 @@ def _parse_element(alg, text):
         if tok == "(":
             e = parse_expr()
             if peek() != ")":
-                raise AlgebraError("unbalanced parentheses in element literal")
+                raise LiteralError("unbalanced parentheses in element literal")
             take()
             base = e
-        elif tok and (tok[0].isdigit()):
-            base = alg.scalar(parse_rational(tok))
+        elif tok[0].isdigit():
+            try:
+                base = alg.scalar(parse_rational(tok))
+            except ValueError as exc:
+                raise LiteralError(str(exc)) from None
         elif tok in names:
             kind, idx = names[tok]
             if kind == "v":
@@ -559,13 +572,15 @@ def _parse_element(alg, text):
             else:
                 base = alg.group_elt(idx)
         else:
-            raise AlgebraError("unknown symbol %r in element literal" % tok)
+            raise LiteralError("unknown symbol %r in element literal" % tok)
         if peek() == "^":
             take()
             exp = take()
-            if not exp or not exp.isdigit():
-                raise AlgebraError("exponent must be a nonnegative integer")
+            if not exp.isdigit():
+                raise LiteralError("exponent must be a nonnegative integer")
             n = int(exp)
+            if n > MAX_LITERAL_EXPONENT:
+                raise LiteralError("exponent %d exceeds the literal limit %d" % (n, MAX_LITERAL_EXPONENT))
             out = alg.one()
             for _ in range(n):
                 out = out * base
@@ -592,7 +607,7 @@ def _parse_element(alg, text):
 
     result = parse_expr()
     if pos != len(tokens):
-        raise AlgebraError("trailing garbage in element literal")
+        raise LiteralError("trailing garbage in element literal")
     return result
 
 

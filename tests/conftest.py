@@ -3,6 +3,7 @@ import pytest
 from srak import cherednik as CH
 from srak import groups as G
 from srak import sra as S
+from srak.coeffs import ParamPoly, R0, R1, rat
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -75,3 +76,29 @@ def dense_product(a, b):
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def pairwise_gram(ch, d, c_values=None, tau=None, duals=None):
+    """Reference pairing matrix: B(f, g) = (f(D) g)(0) pair by pair, with
+    f(D) applying every D_0 first, then D_1, ..., and specializing at t = 1
+    (and at ``c_values``) only at the end.  ``duals`` are the y-vectors
+    substituted for the coordinates; None means the dual basis."""
+    mod = CH.StandardModule(ch, tau=tau)
+    n = ch.h_dim
+    if duals is None:
+        duals = [[R1 if j == i else R0 for j in range(n)] for i in range(n)]
+    spec = {0: R1}
+    for i, v in enumerate(c_values or ()):
+        spec[i + 1] = rat(v) if isinstance(v, int) else v
+    monos = CH._monomials(n, d)
+    rows = []
+    for f in monos:
+        row = []
+        for g in monos:
+            vec = mod.monomial(g)
+            for i in range(n):
+                for _ in range(f[i]):
+                    vec = mod.lowering(duals[i], vec)
+            row.append(vec.get(((0,) * n, 0), ParamPoly.zero(ch.nparams)).specialize(spec))
+        rows.append(row)
+    return monos, rows

@@ -7,7 +7,7 @@ from srak import groups as G
 from srak.coeffs import ParamPoly, R0, R1, parse_rational, rat
 from srak.selftest import tampered_cherednik
 
-from conftest import S3_SPEC, WEYL_SPEC
+from conftest import S3_SPEC, WEYL_SPEC, pairwise_gram
 
 
 def test_build_rank_one(ch2):
@@ -190,6 +190,68 @@ def test_gram_rank_one_conventions_agree(ch2):
         assert braw == bsym
 
 
+def _assert_tower_matches(ch, cutoff, c_values=None, tau=None, duals=None):
+    tower = CH.gram_tower(ch, cutoff, c_values=c_values, tau=tau, duals=duals)
+    assert len(tower) == cutoff + 1
+    for d, level in enumerate(tower):
+        assert level == pairwise_gram(ch, d, c_values=c_values, tau=tau, duals=duals), d
+
+
+@pytest.mark.parametrize("weight", ["trivial", "determinant"])
+def test_gram_tower_matches_pairwise(ch2, ch3, weight):
+    # symbolic entries, both one-dimensional lowest weights
+    for ch in (ch2, ch3):
+        tau = CH.determinant_character(ch) if weight == "determinant" else None
+        _assert_tower_matches(ch, 6, tau=tau)
+
+
+def test_gram_tower_matches_pairwise_specialized(ch3):
+    for c in (rat(1, 3), rat(2, 5)):
+        _assert_tower_matches(ch3, 5, c_values=[c])
+        _assert_tower_matches(ch3, 5, c_values=[c], tau=CH.determinant_character(ch3))
+
+
+def test_gram_tower_matches_pairwise_s4():
+    ch4 = CH.build_cherednik({"builtin": {"type": "symmetric", "n": 4, "rep": "reflection"}})
+    _assert_tower_matches(ch4, 4)
+
+
+def test_gram_tower_keeps_operator_order(ch3):
+    # dropping one reflection from the lowering operators makes them fail to
+    # commute; the lowest-index peel still applies them in the per-pair order
+    skew = CH.CherednikAlgebra(ch3.group, ch3.rdata, ch3.reflections[1:], ch3.algebra)
+    assert not CH.module_relation_report(skew, 2)["y_commute"]
+    _assert_tower_matches(skew, 4)
+
+
+def test_symmetric_gram_matches_pairwise(ch3):
+    from srak import linalg
+
+    ginv = linalg.mat_inverse(G.invariant_metric(ch3.group))
+    duals = [[row[i] for row in ginv] for i in range(ch3.h_dim)]
+    for d in range(6):
+        assert CH.symmetric_contravariant_gram(ch3, d) == pairwise_gram(ch3, d, duals=duals)
+
+
+def test_scan_lowering_count(ch3, monkeypatch):
+    # the tower applies n * dim_d lowering operators per degree and weight:
+    # 2 * (2 + 3 + ... + 9) = 88 for each of the two weights at cutoff 8
+    calls = []
+    inner = CH.StandardModule.lowering_basis
+
+    def counting(self, i, u):
+        calls.append(i)
+        return inner(self, i, u)
+
+    monkeypatch.setattr(CH.StandardModule, "lowering_basis", counting)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        CH.finite_dim_scan(ch3, ["1/3"], 8)
+        counts.append(len(calls))
+    assert counts == [176, 176]
+
+
 def test_gram_kernel_vectors_are_singular(ch2, ch3):
     # at the first degenerate degree the kernel really consists of
     # singular vectors: annihilated by every lowering operator
@@ -264,6 +326,21 @@ def test_scan_n3(ch3):
     assert scan[0]["verdict"] == "finite" and scan[0]["dim"] == 1
     assert scan[1]["verdict"] != "finite"
     assert scan[2]["verdict"] != "finite"
+
+
+def test_scan_rejects_bad_input_before_any_gram(ch2, monkeypatch):
+    def no_lowering(*args):
+        raise AssertionError("a pairing matrix was built for rejected input")
+
+    monkeypatch.setattr(CH.StandardModule, "lowering_basis", no_lowering)
+    with pytest.raises(CH.CherednikError, match="non-negative"):
+        CH.finite_dim_scan(ch2, ["1/2"], -1)
+    with pytest.raises(CH.CherednikError, match="names no parameter"):
+        CH.finite_dim_scan(ch2, [], 3)
+    with pytest.raises(CH.CherednikError, match="non-negative"):
+        CH.type_a_report(3, "1/2", slice_cutoff=-1)
+    with pytest.raises(CH.CherednikError, match="non-negative"):
+        CH.contravariant_gram(ch2, -1)
 
 
 def test_type_a_reports():

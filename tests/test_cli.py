@@ -80,7 +80,16 @@ def test_scan_builtin_and_preset():
     ["cherednik", "scan", "--builtin", "symmetric:2:reflection", "--c-list", ",", "--cutoff", "2"],
     ["cherednik", "gram", "--group", "symmetric:2:reflection", "--deg", "-1"],
     ["sra", "center", "--group", "symmetric:2:reflection", "--deg", "-1"],
-], ids=["scan-cutoff", "typea-slice-cutoff", "scan-empty-c-list", "gram-deg", "center-deg"])
+    ["sra", "normalize", "--group", "symmetric:2:reflection", "--expr", "x^"],
+    ["sra", "normalize", "--group", "symmetric:2:reflection", "--expr", "x*"],
+    ["sra", "normalize", "--group", "symmetric:2:reflection", "--expr", ""],
+    ["sra", "normalize", "--group", "symmetric:2:reflection", "--expr", "(x"],
+    ["sra", "mul", "--group", "symmetric:2:reflection", "--lhs", "x", "--rhs", "x + q"],
+    ["sra", "poisson", "--group", "symmetric:2:reflection", "--lhs", "x^2", "--rhs", "y^"],
+    ["sra", "normalize", "--group", "symmetric:2:reflection", "--expr", "x^99999999"],
+], ids=["scan-cutoff", "typea-slice-cutoff", "scan-empty-c-list", "gram-deg", "center-deg",
+        "expr-open-power", "expr-open-product", "expr-empty", "expr-open-paren", "mul-unknown-symbol",
+        "poisson-open-power", "expr-huge-exponent"])
 def test_bad_input_exits_2(argv, capsys):
     try:
         code = cli.main(argv)

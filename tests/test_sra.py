@@ -392,3 +392,10 @@ def test_parse_errors(ch2):
         ch2.algebra.parse("x + (y")
     with pytest.raises(ValueError):
         ch2.algebra.parse("1/0 * x")
+    for text in ("x^", "x*", "", "-", "x^-1"):
+        with pytest.raises(S.LiteralError):
+            ch2.algebra.parse(text)
+    top = "x^%d" % S.MAX_LITERAL_EXPONENT
+    assert ch2.algebra.parse(top).to_str() == top
+    with pytest.raises(S.LiteralError, match="exceeds"):
+        ch2.algebra.parse("x^%d" % (S.MAX_LITERAL_EXPONENT + 1))
