@@ -1,8 +1,7 @@
 """Exact coefficient arithmetic: rationals and parameter polynomials.
 
-Rationals are arbitrary-precision, always reduced, positive denominator;
-they are backed by ``gmpy2.mpq`` when available and by
-``fractions.Fraction`` otherwise (identical semantics, different speed).
+Rationals are ``fractions.Fraction``: arbitrary-precision, always reduced,
+positive denominator.
 
 ``ParamPoly`` is a multivariate polynomial in the deformation parameters
 ``t (= c0), c1, ..., cr`` with rational coefficients, stored as a sparse
@@ -12,23 +11,19 @@ never mutate shared state, so anything here may be freely shared between
 threads.
 """
 
+from fractions import Fraction
+
 from . import _kernel as K
 
-KERNEL_BACKEND = "pure"  # the only kernel; kept because perfbench/run.py stamps its runs with it
-
-try:
-    from gmpy2 import mpq as _RatImpl
-
-    RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _RatImpl
-
-    RAT_BACKEND = "fractions"
+# the only kernel and the only rational type; kept because perfbench/run.py
+# stamps its runs with them
+KERNEL_BACKEND = "pure"
+RAT_BACKEND = "fractions"
 
 
 def rat(p, q=1):
     """Exact rational p/q."""
-    return _RatImpl(p, q)
+    return Fraction(p, q)
 
 
 R0 = rat(0)
@@ -36,7 +31,7 @@ R1 = rat(1)
 
 
 def is_rational(x):
-    return isinstance(x, (int, _RatImpl))
+    return isinstance(x, (int, Fraction))
 
 
 def parse_rational(text):
@@ -62,7 +57,7 @@ def parse_rational(text):
 
 def rat_str(x):
     """Serialize a rational as "p/q" ("p" when the denominator is 1)."""
-    return str(_RatImpl(x))
+    return str(Fraction(x))
 
 
 class ArityError(ValueError):

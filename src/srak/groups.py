@@ -443,7 +443,10 @@ def double_up(h_gens, dim_h=None):
     vgens = []
     for a in h_gens:
         a = [list(map(rat, row)) for row in a]
-        ainvt = linalg.mat_transpose(linalg.mat_inverse(a))
+        try:
+            ainvt = linalg.mat_transpose(linalg.mat_inverse(a))
+        except ValueError:
+            raise GroupError("generator matrix is singular") from None
         block = [[R0] * (2 * n) for _ in range(2 * n)]
         for i in range(n):
             for j in range(n):
@@ -532,6 +535,8 @@ def group_from_spec(spec, max_order=DEFAULT_MAX_ORDER):
         if "dim_h" not in spec or "generators_on_h" not in spec:
             raise GroupError("group spec needs dim_h and generators_on_h (or builtin)")
         dim_h = int(spec["dim_h"])
+        if dim_h < 1:
+            raise GroupError("dim_h must be positive")
         hgens = []
         for gm in spec["generators_on_h"]:
             if len(gm) != dim_h or any(len(row) != dim_h for row in gm):

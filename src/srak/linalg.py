@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Plain row-reduction on lists of rationals: everything the package needs
-(ranks, null spaces, inverses, fixed spaces, projections) reduces to
-RREF with exact pivoting.  Deterministic: pivots are always the first
-nonzero column scanning left to right, rows are processed in input
-order, so identical inputs give identical outputs.
+One elimination routine, ``RankTracker``, does every row reduction.  It
+keeps its rows sparse (``{column: value}``) and fully reduced; a row's
+pivot is its lowest nonzero column and rows are taken in input order, so
+identical inputs give identical outputs.  The reduced row-echelon form is
+unique, so ``rref`` equals dense Gauss-Jordan elimination.
 """
 
 from .coeffs import R0, R1, rat
@@ -15,12 +15,22 @@ def mat_identity(n):
 
 
 def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), R0) for j in range(p)] for i in range(n)]
+    """Matrix product; a pair of entries with an exact zero adds nothing."""
+    p = len(b[0])
+    out = []
+    for row in a:
+        acc = [R0] * p
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):
-    return [sum((a[i][k] * v[k] for k in range(len(v))), R0) for i in range(len(a))]
+    return [sum((x * y for x, y in zip(row, v) if x), R0) for row in a]
 
 
 def mat_transpose(a):
@@ -40,33 +50,13 @@ def mat_eq(a, b):
 
 
 def rref(rows, ncols):
-    """Reduced row-echelon form. Returns (rows, pivot_columns).
-
-    The input list is not modified.
-    """
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = R1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    """Reduced row-echelon form. Returns (rows, pivot_columns), the rows
+    dense and in pivot order.  The input list is not modified."""
+    tracker = RankTracker(ncols)
+    for row in rows:
+        tracker.add(row)
+    pivots = sorted(tracker.rows)
+    return [[tracker.rows[p].get(c, R0) for c in range(ncols)] for p in pivots], pivots
 
 
 def rank(rows, ncols):
@@ -109,28 +99,18 @@ def mat_rank(a):
 
 
 def mat_det(a):
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(a)
-    m = [list(row) for row in a]
-    det = R1
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
+    """Exact determinant: the product of the leading entries that the
+    elimination divides by, times the sign of the pivot permutation."""
+    tracker = RankTracker(len(a))
+    det, pivots = R1, []
+    for row in a:
+        absorbed = tracker.absorb(row)
+        if absorbed is None:
             return R0
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = R1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+        pivots.append(absorbed[0])
+        det = det * absorbed[1]
+    inversions = sum(1 for i, p in enumerate(pivots) for q in pivots[:i] if q > p)
+    return -det if inversions % 2 else det
 
 
 def column_space_basis(a):
@@ -142,46 +122,64 @@ def column_space_basis(a):
     return [at[c] for c in pivots]
 
 
+def _subtract(v, f, row):
+    """v -= f * row on sparse rows, in place, dropping entries that vanish."""
+    for c, x in row.items():
+        y = v.get(c, R0) - f * x
+        if y:
+            v[c] = y
+        else:
+            del v[c]
+
+
 class RankTracker:
-    """Incremental rank bookkeeping: feed vectors, learn which are new."""
+    """Incremental exact elimination: feed vectors, learn which are new.
+
+    ``rows`` maps each pivot column to its sparse row: 1 at the pivot, no
+    entry at any other pivot column."""
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []  # echelonized rows
-        self.pivots = []
+        self.rows = {}
+
+    def reduce(self, vec):
+        """``vec`` minus its components along the pivot rows, as a sparse
+        map; empty exactly when ``vec`` lies in the span."""
+        v = {c: x for c, x in enumerate(vec) if x}
+        # each pivot row is zero at every other pivot column, so the
+        # entries of vec at the pivot columns are the multipliers
+        for p in [p for p in v if p in self.rows]:
+            _subtract(v, v[p], self.rows[p])
+        return v
+
+    def absorb(self, vec):
+        """Reduce ``vec``; store what is left with its leading entry scaled
+        to 1 and clear that pivot from the earlier rows.  Returns (pivot,
+        leading entry before scaling), or None when ``vec`` is in the span."""
+        v = self.reduce(vec)
+        if not v:
+            return None
+        p = min(v)
+        lead = v[p]
+        inv = R1 / lead
+        row = {c: x * inv for c, x in v.items()}
+        for other in self.rows.values():
+            f = other.get(p)
+            if f:
+                _subtract(other, f, row)
+        self.rows[p] = row
+        return p, lead
 
     def add(self, vec):
-        """Reduce ``vec`` against the accumulated rows; returns True when
-        it enlarges the span (and is then absorbed)."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        for c in range(self.ncols):
-            if v[c]:
-                inv = R1 / v[c]
-                v = [x * inv for x in v]
-                # keep rows sorted by pivot for determinism
-                idx = 0
-                while idx < len(self.pivots) and self.pivots[idx] < c:
-                    idx += 1
-                self.rows.insert(idx, v)
-                self.pivots.insert(idx, c)
-                return True
-        return False
+        """Absorb ``vec``; returns True when it enlarges the span."""
+        return self.absorb(vec) is not None
 
     @property
     def rank(self):
         return len(self.rows)
 
     def contains(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return not any(v)
+        return not self.reduce(vec)
 
 
 def span_equal(vectors_a, vectors_b, ncols):

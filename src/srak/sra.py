@@ -743,33 +743,30 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
             rows.append(_flatten(alg, c, slots))
         return rows
 
-    if c_values is not None:
-        keys = _coord_keys(alg, d, c_values, include_t)
-        basis_elts = [_key_element(alg, k) for k in keys]
+    def central_combinations(basis_elts):
+        # one column per basis element, stacking its commutators with every
+        # test element; each null vector, with denominators cleared, gives
+        # a central combination
         slots = {}
-        cols = []
-        for z in basis_elts:
-            rows = commute_vec(z, slots)
-            cols.append(rows)
+        cols = [commute_vec(z, slots) for z in basis_elts]
         width = len(slots)
         matrix_rows = []
         for r in range(len(test_elts)):
-            stacked = []
-            for col in cols:
-                v = col[r]
-                v = v + [R0] * (width - len(v))
-                stacked.append(v)
+            stacked = [col[r] + [R0] * (width - len(col[r])) for col in cols]
             for out_c in range(width):
-                matrix_rows.append([stacked[k][out_c] for k in range(len(cols))])
-        null = linalg.nullspace(matrix_rows, len(cols))
-        elements = []
-        for v in null:
-            v = linalg.clear_denominators(v)
+                matrix_rows.append([v[out_c] for v in stacked])
+        out = []
+        for v in linalg.nullspace(matrix_rows, len(cols)):
             acc = alg.zero()
-            for coef, z in zip(v, basis_elts):
+            for coef, z in zip(linalg.clear_denominators(v), basis_elts):
                 if coef:
                     acc = acc + z.scale(coef)
-            elements.append(acc)
+            out.append(acc)
+        return out
+
+    if c_values is not None:
+        keys = _coord_keys(alg, d, c_values, include_t)
+        elements = central_combinations([_key_element(alg, k) for k in keys])
         elements.sort(key=lambda e: (e.vdegree(), sorted(e.terms)))
         dims = [0] * (d + 1)
         for e in elements:
@@ -787,28 +784,7 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
         if not keys:
             prev_weight_elts[w] = []
             continue
-        basis_elts = [_key_element(alg, k) for k in keys]
-        slots = {}
-        cols = [commute_vec(z, slots) for z in basis_elts]
-        width = len(slots)
-        matrix_rows = []
-        for r in range(len(test_elts)):
-            stacked = []
-            for col in cols:
-                v = col[r]
-                v = v + [R0] * (width - len(v))
-                stacked.append(v)
-            for out_c in range(width):
-                matrix_rows.append([stacked[k][out_c] for k in range(len(cols))])
-        null = linalg.nullspace(matrix_rows, len(cols))
-        weight_elements = []
-        for v in null:
-            v = linalg.clear_denominators(v)
-            acc = alg.zero()
-            for coef, z in zip(v, basis_elts):
-                if coef:
-                    acc = acc + z.scale(coef)
-            weight_elements.append(acc)
+        weight_elements = central_combinations([_key_element(alg, k) for k in keys])
         prev_weight_elts[w] = weight_elements
         # new = complement of (parameter * weight-(w-2) center) in weight-w center
         old = prev_weight_elts.get(w - 2, [])
@@ -868,7 +844,6 @@ def satake_corner_check(alg, basis, d, c_values=None):
 
     # corner dimension: span of e * (monomial x group) * e up to degree d
     slots2 = {}
-    tr2 = linalg.RankTracker(0)
     corner_vecs = []
     for deg in range(d + 1):
         for m in combinations_with_replacement(range(alg.nv), deg):

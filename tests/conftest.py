@@ -102,3 +102,27 @@ def pairwise_gram(ch, d, c_values=None, tau=None, duals=None):
             row.append(vec.get(((0,) * n, 0), ParamPoly.zero(ch.nparams)).specialize(spec))
         rows.append(row)
     return monos, rows
+
+
+def dense_rref(rows, ncols):
+    """Reference reduced row-echelon form by dense Gauss-Jordan elimination:
+    for each column in turn, the first remaining row with a nonzero entry
+    there is swapped up, scaled to a leading 1 and cleared from every other
+    row.  Returns (rows, pivot_columns)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = R1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots

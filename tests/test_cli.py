@@ -220,3 +220,17 @@ def test_unknown_spec_field_exit(tmp_path):
     spec.write_text(json.dumps({"builtin": {"type": "symmetric", "n": 2}, "bogus": True}))
     r = run_cli(["group", "analyze", "--group", str(spec)])
     assert r.returncode == 3  # structural group error
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"dim_h": -1, "generators_on_h": []}, {"dim_h": 0, "generators_on_h": []},
+     {"dim_h": 1, "generators_on_h": [[["0"]]]}],
+    ids=["negative-dim", "zero-dim", "singular-generator"],
+)
+def test_degenerate_spec_exits_3(tmp_path, capsys, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["group", "analyze", "--group", str(path)]) == 3  # structural group error
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("computation error:")

@@ -181,6 +181,21 @@ def test_group_spec_rejects_unknown_fields():
         G.group_from_spec({"builtin": {"type": "symmetric", "n": 2}, "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"dim_h": -1, "generators_on_h": []}, "dim_h must be positive"),
+        ({"dim_h": 0, "generators_on_h": []}, "dim_h must be positive"),
+        ({"dim_h": 1, "generators_on_h": [[["0"]]]}, "generator matrix is singular"),
+        ({"dim_h": 2, "generators_on_h": [[["1", "2"], ["1/2", "1"]]]}, "generator matrix is singular"),
+    ],
+    ids=["negative-dim", "zero-dim", "zero-generator", "rank-one-generator"],
+)
+def test_group_spec_rejects_degenerate_input(spec, message):
+    with pytest.raises(G.GroupError, match=message):
+        G.group_from_spec(spec)
+
+
 def test_permutation_representation():
     g = G.group_from_spec({"builtin": {"type": "symmetric", "n": 3, "rep": "permutation"}})
     assert g.order == 6

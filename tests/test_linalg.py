@@ -1,6 +1,10 @@
 import random
 
+import pytest
 import sympy as sp
+from conftest import dense_rref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srak import linalg
 from srak.coeffs import R0, R1, rat
@@ -41,8 +45,6 @@ def test_inverse_against_sympy():
 
 
 def test_inverse_singular_raises():
-    import pytest
-
     with pytest.raises(ValueError):
         linalg.mat_inverse([[R1, R1], [R1, R1]])
 
@@ -81,3 +83,100 @@ def test_column_space_basis():
     basis = linalg.column_space_basis(m)
     assert len(basis) == 1
     assert basis[0] == (R1, rat(2)) or list(basis[0]) == [R1, rat(2)]
+
+
+@st.composite
+def sparse_matrices(draw, square=False, nrows=None):
+    """Random rational matrices, from empty to 8 x 8 (tall, wide or square),
+    with a drawn share of zero entries and, unless square, extra zero and
+    duplicate rows."""
+    nrows = draw(st.integers(0, 8)) if nrows is None else nrows
+    ncols = nrows if square else draw(st.integers(0, 8))
+    zeros_per_entry = draw(st.integers(0, 4))
+    entry = st.tuples(st.integers(0, zeros_per_entry), st.integers(-4, 4), st.integers(1, 3)).map(
+        lambda t: rat(t[1], t[2]) if t[0] == 0 else R0)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if not square:
+        for _ in range(draw(st.integers(0, 2))):
+            copy = list(rows[draw(st.integers(0, len(rows) - 1))]) if rows and draw(st.booleans()) else [R0] * ncols
+            rows.insert(draw(st.integers(0, len(rows))), copy)
+    return rows, ncols
+
+
+def times(rows, v):
+    return [sum((x * y for x, y in zip(row, v)), R0) for row in rows]
+
+
+@settings(deadline=None)
+@given(sparse_matrices())
+def test_rref_rank_nullspace_match_dense_reference(case):
+    rows, ncols = case
+    before = [list(r) for r in rows]
+    red, pivots = linalg.rref(rows, ncols)
+    assert rows == before
+    assert (red, pivots) == dense_rref(rows, ncols)
+    assert linalg.rank(rows, ncols) == len(pivots)
+    null = linalg.nullspace(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(null) == len(free)
+    for f, v in zip(free, null):
+        assert all(x == R0 for x in times(rows, v))
+        assert [v[c] for c in free] == [R1 if c == f else R0 for c in free]
+
+
+@settings(deadline=None)
+@given(sparse_matrices(), st.data())
+def test_rank_tracker_matches_dense_reference(case, data):
+    rows, ncols = case
+    tr = linalg.RankTracker(ncols)
+    for i, row in enumerate(rows):
+        grew = tr.add(row)
+        assert tr.rank == len(dense_rref(rows[: i + 1], ncols)[1])
+        assert grew == (tr.rank > len(dense_rref(rows[:i], ncols)[1]))
+    assert all(tr.contains(row) for row in rows)
+    vec = data.draw(st.lists(st.sampled_from([R0, R0, R1, rat(-2, 3)]), min_size=ncols, max_size=ncols))
+    inside = len(dense_rref(rows + [vec], ncols)[1]) == tr.rank
+    assert tr.contains(vec) == inside
+    # a unit vector at a free column is never in the row space
+    free = [c for c in range(ncols) if c not in dense_rref(rows, ncols)[1]]
+    if free:
+        unit = [R1 if c == free[0] else R0 for c in range(ncols)]
+        assert not tr.contains(unit)
+        assert tr.add(unit) and tr.contains(unit)
+
+
+@settings(deadline=None)
+@given(sparse_matrices(square=True))
+def test_inverse_matches_dense_reference(case):
+    a, n = case
+    aug = [list(row) + [R1 if i == j else R0 for j in range(n)] for i, row in enumerate(a)]
+    red, pivots = dense_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ValueError):
+            linalg.mat_inverse(a)
+        return
+    inv = linalg.mat_inverse(a)
+    assert inv == [row[n:] for row in red]
+    if n:
+        assert linalg.mat_mul(a, inv) == linalg.mat_identity(n)
+
+
+@settings(deadline=None)
+@given(sparse_matrices(square=True))
+def test_det_against_sympy(case):
+    a, n = case
+    expected = to_sympy(a).det() if n else 1
+    assert linalg.mat_det(a) == rat(int(sp.numer(expected)), int(sp.denom(expected)))
+
+
+@settings(deadline=None)
+@given(sparse_matrices(square=True), st.data())
+def test_products_match_dense_sums(case, data):
+    a, n = case
+    if not n:
+        return
+    b = data.draw(sparse_matrices(square=True, nrows=n))[0]
+    # every entry product, zero factors included, as before zeros were skipped
+    dense = [[sum((a[i][k] * b[k][j] for k in range(n)), R0) for j in range(n)] for i in range(n)]
+    assert linalg.mat_mul(a, b) == dense
+    assert linalg.mat_vec(a, b[0]) == [row[0] for row in linalg.mat_mul(a, linalg.mat_transpose(b))]
