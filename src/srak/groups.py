@@ -199,7 +199,8 @@ def generate_group(generators, omega, max_order=DEFAULT_MAX_ORDER, h_dim=None, g
         m = _thaw(mats[i])
         row = []
         for pos, g in enumerate(gens):
-            p = _freeze(linalg.mat_mul(m, _thaw(g)))
+            # mat_mul of frozen matrices already has Fraction entries
+            p = tuple(map(tuple, linalg.mat_mul(m, _thaw(g))))
             pid = index.get(p)
             if pid is None:
                 if len(mats) >= max_order:

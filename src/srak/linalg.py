@@ -15,7 +15,13 @@ def mat_identity(n):
 
 
 def mat_mul(a, b):
-    """Matrix product; a pair of entries with an exact zero adds nothing."""
+    """Matrix product; a pair of entries with an exact zero adds nothing.
+
+    A right factor with no rows records no column count, so the product
+    is taken to have no columns: one empty row per row of ``a``.
+    """
+    if not b:
+        return [[] for _ in a]
     p = len(b[0])
     out = []
     for row in a:

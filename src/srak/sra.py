@@ -18,6 +18,18 @@ omega-form presentation (kappa built from the symplectic form and the
 per-reflection forms, with parameter t on the identity and c_i on orbit
 i) is the default; the Cherednik layer installs its own table.
 
+The rewriting core runs on Python ints.  Each parameter c_p gets a scale
+d_p, the least common multiple of the denominators of the kappa
+coefficients on its linear monomial, and the core works in the variables
+u_p = c_p / d_p, in which the builtin kappa tables and group matrices are
+integral (the S3 omega-form kappa has d = (1, 2)).  ``multiply`` is the
+boundary: it rescales the coefficients of its factors into the u-variables
+(the coefficient of u^e is that of c^e times prod d_p^e_p) and divides the
+result back exactly, so every coefficient it returns is a ``Fraction`` in
+the public c-variables.  Data that stays non-integral after scaling (a
+constant kappa term with a denominator, a non-integral group matrix) flows
+through the same code as ``Fraction`` values mixed with ints.
+
 Also here: the spherical corner, degree-truncated center computation
 with its corner cross-checks, the Poisson bracket on the t = 0 center,
 the trace-obstruction lattice, and symmetric-group character data for
@@ -26,6 +38,7 @@ between threads.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -46,6 +59,11 @@ def _poly_raw_const(arity, value):
     return {(0,) * arity: value} if value else {}
 
 
+def _lower(x):
+    """An int or Fraction as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class SRAlgebra:
     """Descriptor: group, basis order, commutator table, parameters."""
 
@@ -54,6 +72,21 @@ class SRAlgebra:
         self.nv = group.dim
         self.kappa = kappa  # dict (j, i) j>i -> tuple of (gid, raw poly dict)
         self.nparams = nparams
+        scales = [1] * nparams
+        for terms in kappa.values():
+            for _, poly in terms:
+                for e, c in poly.items():
+                    if sum(e) == 1:
+                        p = e.index(1)
+                        scales[p] = math.lcm(scales[p], c.denominator)
+        self.scales = tuple(scales)
+        self._unit_scales = all(d == 1 for d in scales)
+        self._weights = {}
+        # the rewriting table in the u-variables
+        self._kappa = {
+            key: tuple((gid, {e: _lower(c * self._weight(e)) for e, c in poly.items()}) for gid, poly in terms)
+            for key, terms in kappa.items()
+        }
         self.x_count = x_count
         self.rdata = rdata
         self.presentation = presentation
@@ -170,23 +203,64 @@ class SRAlgebra:
         return SRAElement(self, {k: (v if isinstance(v, ParamPoly) else ParamPoly(self.nparams, v)) for k, v in raw_terms.items() if v})
 
     # -- rewriting core --------------------------------------------------
+    #
+    # Everything from here to ``multiply`` works in the u-variables, with
+    # int coefficients wherever the data is integral.
+
+    def _weight(self, e):
+        """prod d_p^e_p: the factor between the coefficients of c^e and u^e."""
+        w = self._weights.get(e)
+        if w is None:
+            w = 1
+            for d, k in zip(self.scales, e):
+                w *= d**k
+            self._weights[e] = w
+        return w
+
+    def _to_u(self, terms):
+        """A coefficient map in the c-variables, rewritten in the u-variables."""
+        if self._unit_scales:
+            return terms
+        weight = self._weight
+        out = {}
+        for e, c in terms.items():
+            w = weight(e)
+            out[e] = _lower(c * w if w != 1 else c)
+        return out
+
+    def _from_u(self, terms):
+        """In place: a coefficient map in the u-variables, rewritten in the
+        c-variables with Fraction values (exact division)."""
+        if self._unit_scales:
+            for e, c in terms.items():
+                if type(c) is int:
+                    terms[e] = Fraction(c)
+            return terms
+        weight = self._weight
+        for e, c in terms.items():
+            w = weight(e)
+            if type(c) is int:
+                terms[e] = Fraction(c, w) if w != 1 else Fraction(c)
+            elif w != 1:
+                terms[e] = c / w
+        return terms
 
     def _column(self, gid, v):
         key = (gid, v)
         col = self._columns.get(key)
         if col is None:
             mat = self.group.mats[gid]
-            col = tuple((l, mat[l][v]) for l in range(self.nv) if mat[l][v])
+            col = tuple((l, _lower(mat[l][v])) for l in range(self.nv) if mat[l][v])
             self._columns[key] = col
         return col
 
     def _gexpand(self, gid, word):
-        """Expansion of g . word as a tuple of (word', rational coeff)."""
+        """Expansion of g . word as a tuple of (word', coefficient)."""
         key = (gid, word)
         hit = self._gexp_cache.get(key)
         if hit is not None:
             return hit
-        acc = {(): R1}
+        acc = {(): 1}
         for v in word:
             col = self._column(gid, v)
             nxt = {}
@@ -222,15 +296,15 @@ class SRAlgebra:
                 pos = idx
                 break
         if pos < 0:
-            out = {(word, 0): _poly_raw_const(self.nparams, R1)}
+            out = {(word, 0): _poly_raw_const(self.nparams, 1)}
             self._word_cache[word] = out
             return out
         j, i = word[pos], word[pos + 1]
         swapped = word[:pos] + (i, j) + word[pos + 2 :]
         out = {}
         for k, p in self._word_normal(swapped).items():
-            K.emap_axpy(out, k, p, R1)
-        kap = self.kappa.get((j, i), ())
+            K.emap_axpy(out, k, p, 1)
+        kap = self._kappa.get((j, i), ())
         if kap:
             prefix, suffix = word[:pos], word[pos + 2 :]
             mul = self.group.mul
@@ -238,7 +312,7 @@ class SRAlgebra:
                 if suffix:
                     exp = self._gexpand(gid, suffix)
                 else:
-                    exp = (((), R1),)
+                    exp = (((), 1),)
                 for w2, q in exp:
                     for (m, g2), p in self._word_normal(prefix + w2).items():
                         contrib = K.mmul(kpoly, p)
@@ -266,26 +340,26 @@ class SRAlgebra:
             raise AlgebraError("elements of different algebras")
         xc = self.x_count
         mul = self.group.mul
+        to_u = self._to_u
+        unit = {((), 0): _poly_raw_const(self.nparams, 1)}
+        right = []  # (word, gid, coefficients in u, x-degree minus y-degree)
+        for (m2, g2), p2 in b.terms.items():
+            x2 = sum(1 for v in m2 if v < xc) if xcap is not None else 0
+            right.append((m2, g2, to_u(p2.terms), 2 * x2 - len(m2)))
         out = {}
         for (m1, g1), p1 in a.terms.items():
-            p1r = p1.terms
+            p1r = to_u(p1.terms)
             if xcap is not None:
                 x1 = sum(1 for v in m1 if v < xc)
-                y1 = len(m1) - x1
-            for (m2, g2), p2 in b.terms.items():
-                if xcap is not None:
-                    x2 = sum(1 for v in m2 if v < xc)
-                    y2 = len(m2) - x2
-                    if x1 + x2 - (y1 + y2) >= xcap:
-                        continue
+                xy1 = 2 * x1 - len(m1)
+            for m2, g2, p2r, xy2 in right:
+                if xcap is not None and xy1 + xy2 >= xcap:
+                    continue
                 g12 = mul(g1, g2)
-                p12 = K.mmul(p1r, p2.terms)
+                p12 = K.mmul(p1r, p2r)
                 if not p12:
                     continue
-                if m2:
-                    pieces = self._gmono_normal(g1, m2)
-                else:
-                    pieces = {((), 0): _poly_raw_const(self.nparams, R1)}
+                pieces = self._gmono_normal(g1, m2) if m2 else unit
                 for (mp, gp), q in pieces.items():
                     coeff = K.mmul(p12, q)
                     if not coeff:
@@ -294,12 +368,13 @@ class SRAlgebra:
                         for (m, gk), pk in self._word_normal(m1 + mp).items():
                             if xcap is not None and sum(1 for v in m if v < xc) >= xcap:
                                 continue
-                            K.emap_axpy(out, (m, mul(mul(gk, gp), g12)), K.mmul(coeff, pk), R1)
+                            K.emap_axpy(out, (m, mul(mul(gk, gp), g12)), K.mmul(coeff, pk), 1)
                     else:
                         if xcap is not None and sum(1 for v in mp if v < xc) >= xcap:
                             continue
-                        K.emap_axpy(out, (mp, mul(gp, g12)), coeff, R1)
-        return SRAElement(self, {k: ParamPoly(self.nparams, v) for k, v in out.items()})
+                        K.emap_axpy(out, (mp, mul(gp, g12)), coeff, 1)
+        from_u = self._from_u
+        return SRAElement(self, {k: ParamPoly(self.nparams, from_u(v)) for k, v in out.items()})
 
     def normalize_word(self, factors):
         """Normal form of a product of factors.

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from srak import cherednik as CH
@@ -126,3 +128,76 @@ def dense_rref(rows, ncols):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def fraction_normal_form(alg, terms):
+    """Reference PBW normal form of a sum of words by plain rewriting over
+    Fraction, in the public parameters.  Each term is (letters, coefficient,
+    ...), its coefficients multiplied; a letter is ("v", basis index) or
+    ("g", group id), a coefficient {exponents: value}.
+    Rules, first applicable position first: adjacent group letters multiply;
+    g v becomes sum_l mats[g][l][v] v_l g; once every group letter sits at
+    the end, an inverted pair v_j v_i (j > i) becomes v_i v_j plus alg.kappa's
+    (j, i) terms, each with its group letter in place of the pair.
+    Returns {(sorted word, gid): {exponents: Fraction}}, zeros pruned."""
+    mats, mul, arity = alg.group.mats, alg.group.mul, alg.nparams
+    memo = {}
+
+    def add(out, key, poly, scale):
+        acc = out.setdefault(key, {})
+        for e, c in poly.items():
+            acc[e] = acc.get(e, Fraction(0)) + Fraction(scale) * Fraction(c)
+            if not acc[e]:
+                del acc[e]
+        if not acc:
+            del out[key]
+
+    def times(p, q):
+        out = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + Fraction(c1) * Fraction(c2)
+        return {e: c for e, c in out.items() if c}
+
+    def nf(word):
+        if word in memo:
+            return memo[word]
+        out = {}
+        pairs = list(enumerate(zip(word, word[1:])))
+        gpos = next((k for k, (a, b) in pairs if a[0] == "g"), None)
+        if gpos is not None:
+            (_, g), (kind, v) = word[gpos], word[gpos + 1]
+            rest, head = word[gpos + 2 :], word[:gpos]
+            if kind == "g":
+                moves = [(head + (("g", mul(g, v)),) + rest, 1)]
+            else:
+                moves = [(head + (("v", l), ("g", g)) + rest, mats[g][l][v]) for l in range(alg.nv) if mats[g][l][v]]
+            for w, scale in moves:
+                for key, p in nf(w).items():
+                    add(out, key, p, scale)
+        else:
+            inv = next((k for k, (a, b) in pairs if a[0] == b[0] == "v" and a[1] > b[1]), None)
+            if inv is None:
+                vecs = tuple(i for kind, i in word if kind == "v")
+                gid = word[-1][1] if word and word[-1][0] == "g" else 0
+                out = {(vecs, gid): {(0,) * arity: Fraction(1)}}
+            else:
+                (_, j), (_, i) = word[inv], word[inv + 1]
+                head, rest = word[:inv], word[inv + 2 :]
+                for key, p in nf(head + (("v", i), ("v", j)) + rest).items():
+                    add(out, key, p, 1)
+                for gid, kpoly in alg.kappa.get((j, i), ()):
+                    for key, p in nf(head + (("g", gid),) + rest).items():
+                        add(out, key, times(kpoly, p), 1)
+        memo[word] = out
+        return out
+
+    out = {}
+    for letters, *coeffs in terms:
+        coeff = {(0,) * arity: Fraction(1)}
+        for q in coeffs:
+            coeff = times(coeff, q)
+        for key, p in nf(tuple(letters)).items():
+            add(out, key, times(coeff, p), 1)
+    return out

@@ -157,8 +157,13 @@ def test_inverse_matches_dense_reference(case):
         return
     inv = linalg.mat_inverse(a)
     assert inv == [row[n:] for row in red]
-    if n:
-        assert linalg.mat_mul(a, inv) == linalg.mat_identity(n)
+    assert linalg.mat_mul(a, inv) == linalg.mat_identity(n)
+
+
+def test_mat_mul_with_empty_right_factor():
+    # a right factor with no rows records no column count: one empty row per row of a
+    assert linalg.mat_mul([], []) == []
+    assert linalg.mat_mul([[], []], []) == [[], []]
 
 
 @settings(deadline=None)

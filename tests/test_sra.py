@@ -1,9 +1,15 @@
 import random
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from conftest import S2_SPEC, S3_SPEC, fraction_normal_form
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srak import cherednik as CH
+from srak import completion as CP
 from srak import groups as G
 from srak import sra as S
 from srak.coeffs import ParamPoly, R0, R1, rat
@@ -399,3 +405,148 @@ def test_parse_errors(ch2):
     assert ch2.algebra.parse(top).to_str() == top
     with pytest.raises(S.LiteralError, match="exceeds"):
         ch2.algebra.parse("x^%d" % (S.MAX_LITERAL_EXPONENT + 1))
+
+
+# -- the integer rewriting core against a plain Fraction reference ---------
+
+# D4 on h in a basis where its matrices are not integral
+DIHEDRAL_SPEC = {"dim_h": 2, "generators_on_h": [[[0, "1/2"], [2, 0]], [[1, 0], [0, -1]]], "gen_names": ["r", "f"]}
+
+
+def _retabled(alg, identity_term):
+    """alg with the t-term of every kappa entry replaced by identity_term(w),
+    w its coefficient on t."""
+    t = (1,) + (0,) * (alg.nparams - 1)
+    kappa = {
+        key: tuple((gid, identity_term(poly[t]) if t in poly else poly) for gid, poly in terms)
+        for key, terms in alg.kappa.items()
+    }
+    return S.SRAlgebra(alg.group, kappa, alg.nparams, x_count=alg.x_count)
+
+
+@lru_cache(maxsize=None)
+def engine_algebra(name):
+    """Algebras whose products the reference checks, by name."""
+    if name == "dihedral-omega":
+        g = G.group_from_spec(DIHEDRAL_SPEC)
+        return S.SRAlgebra.omega_form(g, G.symplectic_reflections(g))
+    if name == "s3-pairing":
+        return CH.build_cherednik(S3_SPEC).algebra
+    if name == "s3-completion":
+        return CP.completion_iso(CH.build_cherednik(S3_SPEC), [1, -1], 3).talg.algebra
+    spec = S2_SPEC if name == "s2-omega" else S3_SPEC
+    g = G.group_from_spec(spec)
+    alg = S.SRAlgebra.omega_form(g, G.symplectic_reflections(g))
+    if name == "s3-t-third":
+        # the t-coefficients scaled by 1/3: the scale of t becomes 3
+        return _retabled(alg, lambda w: {(1, 0): w / 3})
+    if name == "s3-constant-third":
+        # t pinned to 1/3: a constant kappa term with a denominator stays a Fraction
+        return _retabled(alg, lambda w: {(0, 0): w / 3})
+    return alg
+
+
+def elements(alg, max_degree=2):
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 1)] * alg.nparams), coeff, min_size=1, max_size=2)
+    word = st.lists(st.integers(0, alg.nv - 1), max_size=max_degree).map(lambda w: tuple(sorted(w)))
+    key = st.tuples(word, st.integers(0, alg.group.order - 1))
+    return st.dictionaries(key, poly, max_size=3).map(alg.element)
+
+
+def reference_product(alg, a, b, xcap=None):
+    terms = []
+    for (m1, g1), p1 in a.terms.items():
+        for (m2, g2), p2 in b.terms.items():
+            letters = [("v", v) for v in m1] + [("g", g1)] + [("v", v) for v in m2] + [("g", g2)]
+            terms.append((letters, p1.terms, p2.terms))
+    out = fraction_normal_form(alg, terms)
+    if xcap is not None:
+        out = {(m, g): p for (m, g), p in out.items() if sum(1 for v in m if v < alg.x_count) < xcap}
+    return out
+
+
+def term_maps(elt):
+    return {k: p.terms for k, p in elt.terms.items()}
+
+
+@pytest.mark.parametrize(
+    "name", ["s2-omega", "s3-omega", "s3-pairing", "s3-completion", "s3-t-third", "s3-constant-third", "dihedral-omega"]
+)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_multiply_matches_fraction_reference(name, data):
+    alg = engine_algebra(name)
+    a, b = data.draw(elements(alg)), data.draw(elements(alg))
+    assert term_maps(alg.multiply(a, b)) == reference_product(alg, a, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), xcap=st.integers(1, 3))
+def test_truncated_multiply_matches_fraction_reference(data, xcap):
+    alg = engine_algebra("s3-completion")
+    a, b = data.draw(elements(alg)), data.draw(elements(alg))
+    assert term_maps(alg.multiply(a, b, xcap=xcap)) == reference_product(alg, a, b, xcap)
+
+
+def test_scales():
+    assert engine_algebra("s3-omega").scales == (1, 2)
+    assert engine_algebra("s3-t-third").scales == (3, 2)
+    assert engine_algebra("s3-constant-third").scales == (1, 2)
+    assert engine_algebra("s3-completion").scales == (1, 1)
+    assert not all(x.denominator == 1 for m in engine_algebra("dihedral-omega").group.mats for r in m for x in r)
+
+
+def _cache_values(alg):
+    for cache in (alg._word_cache, alg._gmono_cache):
+        for normal_form in cache.values():
+            for poly in normal_form.values():
+                yield from poly.values()
+    for expansion in alg._gexp_cache.values():
+        for _, c in expansion:
+            yield c
+
+
+def _session(alg, coeff, count=8):
+    """Products of random pairs of elements built without multiplying,
+    so that each product meets the boundary once."""
+    rng = random.Random(7)
+
+    def factor():
+        terms = {}
+        for _ in range(3):
+            word = tuple(sorted(rng.randrange(alg.nv) for _ in range(rng.randint(0, 3))))
+            exps = tuple(rng.randint(0, 1) for _ in range(alg.nparams))
+            terms[(word, rng.randrange(alg.group.order))] = {exps: coeff(rng)}
+        return alg.element(terms)
+
+    return [alg.multiply(factor(), factor()) for _ in range(count)]
+
+
+def _halves(rng):
+    return rat(rng.choice([1, -2, 3]), rng.choice([1, 2]))
+
+
+def _values(products):
+    return [c for elt in products for p in elt.terms.values() for c in p.terms.values()]
+
+
+def test_rewriting_caches_hold_ints(g3, rd3):
+    alg = S.SRAlgebra.omega_form(g3, rd3)
+    _session(alg, _halves)
+    assert alg._word_cache and alg._gmono_cache and alg._gexp_cache
+    assert all(type(c) is int for c in _cache_values(alg))
+
+
+def test_no_float_reaches_a_term_map(g3, rd3):
+    # int / int is a float: the boundary must divide exactly
+    values = _values(_session(S.SRAlgebra.omega_form(g3, rd3), _halves))
+    assert any(c.denominator != 1 for c in values)
+    assert not any(isinstance(c, float) for c in values)
+
+
+def test_products_have_fraction_coefficients(g2, rd2, g3, rd3):
+    values = _values(_session(S.SRAlgebra.omega_form(g3, rd3), _halves))
+    # int coefficients in, on an algebra whose scales are all 1
+    values += _values(_session(S.SRAlgebra.omega_form(g2, rd2), lambda rng: rng.choice([1, -2, 3])))
+    assert values and all(type(c) is Fraction for c in values)
