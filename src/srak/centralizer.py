@@ -27,6 +27,7 @@ Everything is exact and side-effect free.
 """
 
 from .coeffs import R0, R1, rat
+from .coeffs import _kernel as K
 from . import linalg
 from .groups import mat_key
 
@@ -161,34 +162,20 @@ class GroupAlgebraCoefficients(CoefficientAlgebra):
         return {0: R1}
 
     def add(self, a, b):
-        out = dict(a)
-        for k, v in b.items():
-            s = out.get(k, R0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return out
+        return K.madd(a, b)
 
     def neg(self, a):
-        return {k: -v for k, v in a.items()}
+        return K.mneg(a)
 
     def mul(self, a, b):
+        mul = self.group.mul
         out = {}
         for g, x in a.items():
-            for h, y in b.items():
-                k = self.group.mul(g, h)
-                s = out.get(k, R0) + x * y
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+            K.maxpy(out, {mul(g, h): y for h, y in b.items()}, x)
         return out
 
     def scale(self, r, a):
-        if not r:
-            return {}
-        return {k: r * v for k, v in a.items()}
+        return K.mscale(a, r)
 
     def eq(self, a, b):
         return a == b
@@ -596,6 +583,8 @@ class SmashCoefficients(CoefficientAlgebra):
         vec = tuple(vec)
         return {0: vec} if any(vec) else {}
 
+    # tuple values, whose zero is not any(v): a truthiness test cannot see it,
+    # so add and mul merge by hand instead of through the term-map kernel
     def add(self, a, b):
         out = dict(a)
         for g, v in b.items():

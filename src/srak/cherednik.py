@@ -30,7 +30,7 @@ from itertools import combinations_with_replacement
 
 from . import groups as G
 from . import linalg
-from .coeffs import ParamPoly, R0, R1, parse_rational, rat, rat_str
+from .coeffs import ParamPoly, R0, R1, exact, parse_rational, rat, rat_str
 from .coeffs import _kernel as K
 from .sra import SRAElement, SRAlgebra
 
@@ -245,11 +245,11 @@ class StandardModule:
     def __init__(self, ch, tau=None, sign=MODULE_LOWERING_SIGN):
         self.ch = ch
         self.n = ch.h_dim
-        self.sign = rat(sign) if isinstance(sign, int) else sign
+        self.sign = exact(sign)
         if tau is None:
             tau = {g: ((R1,),) for g in range(ch.group.order)}
         else:
-            tau = {g: tuple(tuple(rat(x) if isinstance(x, int) else x for x in row) for row in m) for g, m in tau.items()}
+            tau = {g: tuple(tuple(exact(x) for x in row) for row in m) for g, m in tau.items()}
             self._validate_tau(tau)
         self.tau = tau
         self.tau_dim = len(next(iter(tau.values())))
@@ -277,25 +277,10 @@ class StandardModule:
         return {(tuple(exps), comp): p}
 
     def add(self, u, v):
-        out = dict(u)
-        for k, p in v.items():
-            cur = out.get(k)
-            s = p if cur is None else cur + p
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return out
+        return K.madd(u, v)
 
     def scale(self, u, c):
-        if isinstance(c, ParamPoly):
-            out = {}
-            for k, p in u.items():
-                q = p * c
-                if q:
-                    out[k] = q
-            return out
-        return {k: p * c for k, p in u.items()} if c else {}
+        return K.mscale(u, c)
 
     def eq(self, u, v):
         return u == v
@@ -304,68 +289,32 @@ class StandardModule:
         return max((sum(e) for (e, _) in u), default=0)
 
     def mul_x(self, i, u):
-        out = {}
-        for (e, c), p in u.items():
-            e2 = list(e)
-            e2[i] += 1
-            out[(tuple(e2), c)] = p
-        return out
+        return {(_shift(e, i), c): p for (e, c), p in u.items()}
 
     def act_poly(self, gid, u):
         """The polynomial half of the action: exponents transform, the
         lowest-weight component is untouched."""
-        grp = self.ch.group
-        block = grp.hstar_block(gid)  # action on h*: x_j -> sum_i block[i][j] x_i
+        n = self.n
+        block = self.ch.group.hstar_block(gid)  # action on h*: x_j -> sum_i block[i][j] x_i
+        images = [{_shift((0,) * n, i): block[i][j] for i in range(n) if block[i][j]} for j in range(n)]
         out = {}
         for (e, comp), p in u.items():
             # expand prod_j (sum_i block[i][j] x_i)^(e_j)
-            terms = {(0,) * self.n: R1}
+            terms = {(0,) * n: R1}
             for j, k in enumerate(e):
-                col = [(i, block[i][j]) for i in range(self.n) if block[i][j]]
                 for _ in range(k):
-                    nxt = {}
-                    for mono, coeff in terms.items():
-                        for i, b in col:
-                            m2 = list(mono)
-                            m2[i] += 1
-                            key = tuple(m2)
-                            cur = nxt.get(key, R0) + coeff * b
-                            if cur:
-                                nxt[key] = cur
-                            else:
-                                nxt.pop(key, None)
-                    terms = nxt
-            for mono, coeff in terms.items():
-                key = (mono, comp)
-                cur = out.get(key)
-                add = p * coeff
-                s = add if cur is None else cur + add
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                    terms = K.mmul(terms, images[j])
+            K.maxpy(out, {(mono, comp): coeff for mono, coeff in terms.items()}, p)
         return out
 
     def tau_mix(self, gid, u):
         """The lowest-weight half of the action: components transform."""
         tau = self.tau[gid]
         if self.tau_dim == 1:
-            coeff = tau[0][0]
-            return self.scale(u, coeff)
+            return self.scale(u, tau[0][0])
         out = {}
         for (e, comp), p in u.items():
-            for comp2 in range(self.tau_dim):
-                tcoeff = tau[comp2][comp]
-                if not tcoeff:
-                    continue
-                key = (e, comp2)
-                cur = out.get(key)
-                add = p * tcoeff
-                s = add if cur is None else cur + add
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            K.maxpy(out, {(e, c2): row[comp] for c2, row in enumerate(tau) if row[comp]}, p)
         return out
 
     def act(self, gid, u):
@@ -375,12 +324,12 @@ class StandardModule:
     def _divided_difference(self, u, ref):
         """tau(s) ((u - s-poly. u)/alpha_s): divide the polynomial parts,
         then mix the lowest-weight components."""
-        su = self.act_poly(ref.gid, u)
-        diff = self.add(u, self.scale(su, -R1))
+        work = self.add(u, self.scale(self.act_poly(ref.gid, u), -R1))
         alpha = ref.alpha
         pivot = next(i for i, v in enumerate(alpha) if v)
+        inv = R1 / alpha[pivot]
+        rest = [(i, a) for i, a in enumerate(alpha) if i != pivot and a]
         out = {}
-        work = dict(diff)
         # divide by the linear form along the pivot variable
         while work:
             # take the term with the highest pivot exponent
@@ -389,63 +338,29 @@ class StandardModule:
             p = work.pop(key)
             if e[pivot] == 0:
                 raise CherednikError("division by the root form left a remainder")
-            e2 = list(e)
-            e2[pivot] -= 1
-            q = p * (R1 / alpha[pivot])
-            kq = (tuple(e2), comp)
-            cur = out.get(kq)
-            s = q if cur is None else cur + q
-            if s:
-                out[kq] = s
-            else:
-                out.pop(kq, None)
+            e2 = _shift(e, pivot, -1)
+            q = p * inv
+            # keys leave work in decreasing pivot exponent, so none repeats here
+            out[(e2, comp)] = q
             # subtract q * (alpha - pivot term)
-            for i, a in enumerate(alpha):
-                if i == pivot or not a:
-                    continue
-                e3 = list(e2)
-                e3[i] += 1
-                k3 = (tuple(e3), comp)
-                cur = work.get(k3)
-                sub = q * a
-                s = -sub if cur is None else cur - sub
-                if s:
-                    work[k3] = s
-                else:
-                    work.pop(k3, None)
+            K.maxpy(work, {(_shift(e2, i), comp): a for i, a in rest}, -q)
         return self.tau_mix(ref.gid, out)
 
     def lowering(self, y_coeffs, u):
         """The y-action: t * directional derivative + reflection terms."""
-        n = self.n
         arity = self.ch.nparams
         tpoly = ParamPoly.var(arity, 0)
         out = {}
         # t * d_y
         for (e, comp), p in u.items():
-            for i, a in enumerate(y_coeffs):
-                if not a or not e[i]:
-                    continue
-                e2 = list(e)
-                e2[i] -= 1
-                key = (tuple(e2), comp)
-                add = p * tpoly * (a * rat(e[i]))
-                cur = out.get(key)
-                s = add if cur is None else cur + add
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            derivs = {(_shift(e, i, -1), comp): a * e[i] for i, a in enumerate(y_coeffs) if a and e[i]}
+            K.maxpy(out, derivs, p * tpoly)
         # reflection corrections
         for ref in self.ch.reflections:
             pair = sum((a * b for a, b in zip(y_coeffs, ref.alpha)), R0)
-            if not pair:
-                continue
-            dd = self._divided_difference(u, ref)
-            if not dd:
-                continue
-            cpoly = ParamPoly.var(arity, ref.orbit + 1, coeff=self.sign * pair)
-            out = self.add(out, self.scale(dd, cpoly))
+            if pair:
+                cpoly = ParamPoly.var(arity, ref.orbit + 1, coeff=self.sign * pair)
+                K.maxpy(out, self._divided_difference(u, ref), cpoly)
         return out
 
     def lowering_basis(self, i, u):
@@ -463,6 +378,11 @@ def solve_module_sign(ch, degree=3):
     if len(good) != 1:
         raise CherednikError("module sign is not pinned by the relations")
     return good[0]
+
+
+def _shift(e, i, k=1):
+    """The exponent tuple e with k added at position i."""
+    return e[:i] + (e[i] + k,) + e[i + 1 :]
 
 
 def _monomials(n, d):
@@ -589,7 +509,7 @@ def gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
     spec = {0: R1}
     if c_values is not None:
         for i, v in enumerate(c_values):
-            spec[i + 1] = rat(v) if isinstance(v, int) else v
+            spec[i + 1] = exact(v)
     zero = ParamPoly.zero(ch.nparams)
     prev_index = {(0,) * n: 0}
     prev_rows = [[ParamPoly.one(ch.nparams).specialize(spec)]]
@@ -613,7 +533,7 @@ def gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
         rows = []
         for f in monos:
             i = next(j for j, k in enumerate(f) if k)
-            prev_row = prev_rows[prev_index[f[:i] + (f[i] - 1,) + f[i + 1:]]]
+            prev_row = prev_rows[prev_index[_shift(f, i, -1)]]
             row = []
             for col in lowered[i]:
                 acc = zero
@@ -762,7 +682,7 @@ def finite_dim_scan(ch, c_list, cutoff):
     """
     if ch.nparams != 2:
         raise CherednikError("scan expects a single reflection orbit")
-    cvals = [parse_rational(c) if isinstance(c, str) else (rat(c) if isinstance(c, int) else c) for c in c_list]
+    cvals = [parse_rational(c) if isinstance(c, str) else exact(c) for c in c_list]
     if not cvals:
         raise CherednikError("the scan names no parameter value")
     grams = scan_grams(ch, cutoff)
@@ -800,7 +720,7 @@ def type_a_report(n, c, slice_cutoff=None, include_slice_evidence=True):
     """
     if n < 2:
         raise CherednikError("n must be at least 2")
-    cval = parse_rational(c) if isinstance(c, str) else (rat(c) if isinstance(c, int) else c)
+    cval = parse_rational(c) if isinstance(c, str) else exact(c)
     q, m = int(cval.numerator), int(cval.denominator)
     report = {
         "n": n,

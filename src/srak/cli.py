@@ -6,8 +6,10 @@ selftest.  Group specs are JSON files (fields ``dim_h``,
 ``generators_on_h``, optional ``builtin``/``gen_names``) or the inline
 shorthand ``symmetric:<n>:<rep>``.  Reports are deterministic JSON on
 stdout (or --out); human summaries and timing go to stderr.  Exit codes:
-0 all verdicts pass, 2 parse/spec errors, 3 computational precondition
-failures.  No environment variable is consulted.
+0 all verdicts pass, 1 some check failed, 2 parse/spec errors, 3
+computational precondition failures, 4 internal error (any other
+exception; its traceback goes to stderr).  No environment variable is
+consulted.
 """
 
 import argparse
@@ -15,6 +17,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import centralizer as C
 from . import cherednik as CH
@@ -423,6 +426,9 @@ def main(argv=None):
     except PARSE_ERRORS as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

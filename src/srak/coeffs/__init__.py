@@ -30,6 +30,12 @@ R0 = rat(0)
 R1 = rat(1)
 
 
+def exact(x):
+    """``x`` with an int made a ``Fraction``, so that ``/`` on it stays
+    exact (int/int is a float); any other value is returned unchanged."""
+    return Fraction(x) if isinstance(x, int) else x
+
+
 def is_rational(x):
     return isinstance(x, (int, Fraction))
 
@@ -92,7 +98,7 @@ class ParamPoly:
 
     @classmethod
     def const(cls, arity, value):
-        v = rat(value) if isinstance(value, int) else value
+        v = exact(value)
         if not v:
             return cls(arity)
         return cls(arity, {(0,) * arity: v})
@@ -139,7 +145,7 @@ class ParamPoly:
 
     def __mul__(self, other):
         if is_rational(other):
-            return ParamPoly(self.arity, K.mscale(self.terms, rat(other) if isinstance(other, int) else other))
+            return ParamPoly(self.arity, K.mscale(self.terms, exact(other)))
         _check_arity(self, other)
         return ParamPoly(self.arity, K.mmul(self.terms, other.terms))
 
@@ -200,7 +206,7 @@ class ParamPoly:
             for idx, val in values.items():
                 k = e[idx]
                 if k:
-                    scale = scale * (rat(val) if isinstance(val, int) else val) ** k
+                    scale = scale * exact(val) ** k
                     new_e[idx] = 0
             if scale:
                 K.maxpy(out, {tuple(new_e): R1}, scale)

@@ -1,11 +1,22 @@
-"""Sparse term-map kernels.
+"""Sparse term-map kernels: the package's only sparse-map arithmetic.
 
 Every coefficient object in the package is ultimately a dict mapping a
-hashable key (an exponent tuple, or a (monomial, group-element) pair) to
-an exact rational or polynomial value.  The functions here are the inner
-loops shared by polynomial arithmetic and PBW normal ordering: merge,
-scale-accumulate and convolve such maps, pruning exact zeros.  Results
-never alias their inputs.
+hashable key (an exponent tuple, a (monomial, group-element) pair, a
+(monomial, component) pair, a group id or a column index) to an exact
+value: an int, a ``Fraction`` or a ``ParamPoly``.  The functions here are
+the one place that merges, scales, scale-accumulates and convolves such
+maps, pruning exact zeros (a value is zero when it is falsy).  Results
+never alias their inputs; only ``maxpy``/``emap_axpy`` write, and only to
+their first argument.
+
+Callers: ``ParamPoly`` arithmetic, PBW normal ordering (``sra``), the
+Dunkl module vectors (``cherednik.StandardModule``), group-algebra
+coefficients (``centralizer.GroupAlgebraCoefficients``) and the sparse
+rows of the elimination (``linalg.RankTracker``).  Two loops stay outside
+on purpose: ``SRAlgebra._gexpand``, the PBW hot loop, where building a
+map per word costs measurably more than the merge; and
+``centralizer.SmashCoefficients``, whose values are tuples with zero
+``not any(v)``, which a truthiness test cannot see.
 """
 
 

@@ -27,8 +27,8 @@ from .centralizer import (
     build_centralizer,
     idempotent,
 )
-from .coeffs import ParamPoly, R0, R1, rat
-from .sra import SRAlgebra
+from .coeffs import ParamPoly, R0, R1, exact, rat
+from .sra import SRAlgebra, omega_kappa
 
 
 class CompletionError(ValueError):
@@ -67,7 +67,7 @@ class TruncatedAlgebra:
         """Linear combination of the x-coordinates plus an optional constant."""
         acc = self.algebra.zero()
         for i, c in enumerate(coeffs):
-            c = rat(c) if isinstance(c, int) else c
+            c = exact(c)
             if c:
                 acc = acc + self.algebra.gen(i).scale(c)
         if const is not None and const:
@@ -81,7 +81,7 @@ class TruncatedAlgebra:
         truncation order.
         """
         o = self.order if order is None else order
-        const = rat(const) if isinstance(const, int) else const
+        const = exact(const)
         if not const:
             raise CompletionError("series inverse needs an invertible constant term")
         inv_c = R1 / const
@@ -258,7 +258,7 @@ def recenter(algebra, b):
     (its pairings with the x-coordinates)."""
     if algebra.x_count is None:
         raise CompletionError("recentering needs a doubled algebra")
-    shift = [rat(v) if isinstance(v, int) else v for v in b]
+    shift = [exact(v) for v in b]
     if len(shift) != algebra.x_count:
         raise CompletionError("base point has wrong dimension")
     return RecenteredPresentation(algebra, shift)
@@ -303,13 +303,7 @@ class CompletionIso:
             m = tail if m is None else m * tail
             m = _scale_matrix(m, p)
             acc = m if acc is None else acc + m
-        if acc is None:
-            return _zero_matrix(self.ctx)
-        return acc
-
-
-def _zero_matrix(ctx):
-    return ctx.zero()
+        return self.ctx.zero() if acc is None else acc
 
 
 def _scale_matrix(m, poly):
@@ -326,32 +320,8 @@ def subalgebra_presentation(ch, sub_ids, mu):
     orbit parameters scaled by mu (so they match the ambient pairing
     presentation)."""
     sub, to_parent = G.subgroup_group(ch.group, sub_ids)
-    rdata = ch.rdata
-    nparams = ch.nparams
-    n = ch.group.dim
-    from .coeffs import _kernel as K
-
-    kappa = {}
-    local_of = {p: i for i, p in enumerate(to_parent)}
-    for j in range(n):
-        for i in range(j):
-            terms = {}
-            vi = tuple(R1 if k == i else R0 for k in range(n))
-            vj = tuple(R1 if k == j else R0 for k in range(n))
-            w = ch.group.omega_eval(vj, vi)
-            if w:
-                K.emap_axpy(terms, 0, {(1,) + (0,) * (nparams - 1): R1}, w)
-            for s in rdata.reflections:
-                if s not in local_of:
-                    continue
-                ws = rdata.omega_s_eval(s, vj, vi)
-                if ws:
-                    e = [0] * nparams
-                    e[rdata.orbit_of[s] + 1] = 1
-                    K.emap_axpy(terms, local_of[s], {tuple(e): R1}, ws * mu)
-            if terms:
-                kappa[(j, i)] = tuple(sorted(terms.items()))
-    alg = SRAlgebra(sub, kappa, nparams, x_count=ch.group.h_dim, presentation="omega-form-converted")
+    kappa = omega_kappa(ch.group, ch.rdata, {p: i for i, p in enumerate(to_parent)}, mu)
+    alg = SRAlgebra(sub, kappa, ch.nparams, x_count=ch.group.h_dim, presentation="omega-form-converted")
     return alg, sub, to_parent
 
 
@@ -372,7 +342,7 @@ def completion_iso_with_mu(ch, b, order, mu):
     from .cherednik import convention_solve
 
     n = ch.h_dim
-    b = [rat(v) if isinstance(v, int) else v for v in b]
+    b = [exact(v) for v in b]
     if len(b) != n:
         raise CompletionError("base point has wrong dimension")
     bcov = tuple(b) + (R0,) * n  # V*-coordinates: pairings with x's, then with y's
@@ -457,7 +427,7 @@ def _pairing_rhs_matrix(iso, yi, xj):
         if coeff:
             m = _scale_matrix(iso.w_images[ref.gid], ParamPoly.var(ch.nparams, ref.orbit + 1, coeff=coeff))
             out = m if out is None else out + m
-    return out if out is not None else _zero_matrix(iso.ctx)
+    return out if out is not None else iso.ctx.zero()
 
 
 def _matrices_agree(a, b, order):

@@ -17,7 +17,7 @@ plane, both of which the algebra layer consumes.
 import math
 
 from . import linalg
-from .coeffs import R0, R1, rat
+from .coeffs import R0, R1, exact, rat
 
 DEFAULT_MAX_ORDER = 20160
 
@@ -380,7 +380,7 @@ def reflection_weight(G, rdata, orbit_index):
 
 def stabilizer(G, b):
     """Ids of the elements fixing the covector b in V*."""
-    b = tuple(rat(x) if isinstance(x, int) else x for x in b)
+    b = tuple(exact(x) for x in b)
     return sorted(g for g in range(G.order) if G.apply_dual(g, b) == b)
 
 

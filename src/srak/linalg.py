@@ -8,6 +8,7 @@ unique, so ``rref`` equals dense Gauss-Jordan elimination.
 """
 
 from .coeffs import R0, R1, rat
+from .coeffs import _kernel as K
 
 
 def mat_identity(n):
@@ -128,16 +129,6 @@ def column_space_basis(a):
     return [at[c] for c in pivots]
 
 
-def _subtract(v, f, row):
-    """v -= f * row on sparse rows, in place, dropping entries that vanish."""
-    for c, x in row.items():
-        y = v.get(c, R0) - f * x
-        if y:
-            v[c] = y
-        else:
-            del v[c]
-
-
 class RankTracker:
     """Incremental exact elimination: feed vectors, learn which are new.
 
@@ -155,7 +146,7 @@ class RankTracker:
         # each pivot row is zero at every other pivot column, so the
         # entries of vec at the pivot columns are the multipliers
         for p in [p for p in v if p in self.rows]:
-            _subtract(v, v[p], self.rows[p])
+            K.maxpy(v, self.rows[p], -v[p])
         return v
 
     def absorb(self, vec):
@@ -167,12 +158,11 @@ class RankTracker:
             return None
         p = min(v)
         lead = v[p]
-        inv = R1 / lead
-        row = {c: x * inv for c, x in v.items()}
+        row = K.mscale(v, R1 / lead)
         for other in self.rows.values():
             f = other.get(p)
             if f:
-                _subtract(other, f, row)
+                K.maxpy(other, row, -f)
         self.rows[p] = row
         return p, lead
 

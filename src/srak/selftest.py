@@ -70,6 +70,20 @@ def tampered_cherednik(spec, s_id=None):
     return CH.CherednikAlgebra(ch.group, bad, ch.reflections, ch.algebra), s_id
 
 
+def tampered_s3():
+    """The tampered S3 build at the base point b = (2, 1): the form of the
+    first reflection fixing b is sign-flipped, so that both the rewriting and
+    the completion isomorphism at b see the flip.  Returns the tampered
+    Cherednik algebra, its omega-form algebra and b."""
+    b = [rat(2), rat(1)]
+    ch3 = CH.build_cherednik(S3_SPEC)
+    sub = set(G.stabilizer(ch3.group, tuple(b) + (R0, R0)))
+    s_star = next(s for s in ch3.rdata.reflections if s in sub)
+    bad_rdata = tampered_reflection_data(ch3.rdata, s_star)
+    bad_ch = CH.CherednikAlgebra(ch3.group, bad_rdata, ch3.reflections, ch3.algebra)
+    return bad_ch, S.SRAlgebra.omega_form(ch3.group, bad_rdata), b
+
+
 def groups_suite(report):
     g2 = G.group_from_spec(S2_SPEC)
     g3 = G.group_from_spec(S3_SPEC)
@@ -283,7 +297,7 @@ def cherednik_suite(report, built, degree=3):
     return {"ch2": ch2, "ch3": ch3}
 
 
-def completion_suite(report, built, order_s2=4, order_s3=3, mutate=None):
+def completion_suite(report, built, order_s2=4, order_s3=3):
     ch2, ch3 = built["ch2"], built["ch3"]
     iso2 = CP.completion_iso(ch2, [R1], order_s2)
     rep2 = CP.verify_homomorphism(iso2)
@@ -312,16 +326,10 @@ def completion_suite(report, built, order_s2=4, order_s3=3, mutate=None):
 def mutation_suite(report, order_s3=3):
     """Perturbed build: one reflection form sign-flipped.  The rewriting
     associativity and the completion relation check must both fail."""
-    ch3 = CH.build_cherednik(S3_SPEC)
-    b = [rat(2), rat(1)]
-    sub = G.stabilizer(ch3.group, tuple(b) + (R0, R0))
-    s_star = next(s for s in ch3.rdata.reflections if s in set(sub))
-    bad_rdata = tampered_reflection_data(ch3.rdata, s_star)
-    bad_alg = S.SRAlgebra.omega_form(ch3.group, bad_rdata)
+    bad_ch, bad_alg, b = tampered_s3()
     failures = associativity_suite(bad_alg, 60)
     report.add_bool("mutation_breaks_associativity", "vacuous-pass guard", failures > 0,
                     {"failures": failures})
-    bad_ch = CH.CherednikAlgebra(ch3.group, bad_rdata, ch3.reflections, ch3.algebra)
     try:
         iso = CP.completion_iso_with_mu(bad_ch, b, order_s3, rat(-2))
         rep = CP.verify_homomorphism(iso)
@@ -336,12 +344,7 @@ def run_selftest(quick=False, mutate=None):
     swaps in the perturbed build (expected outcome: reported failures)."""
     report = Report("selftest" + (" --quick" if quick else "") + (" [mutated]" if mutate else ""))
     if mutate == "flip-omega-s":
-        ch3 = CH.build_cherednik(S3_SPEC)
-        b = [rat(2), rat(1)]
-        sub = set(G.stabilizer(ch3.group, tuple(b) + (R0, R0)))
-        s_star = next(s for s in ch3.rdata.reflections if s in sub)
-        bad_ch, _ = tampered_cherednik(S3_SPEC, s_star)
-        bad_alg = S.SRAlgebra.omega_form(bad_ch.group, bad_ch.rdata)
+        bad_ch, bad_alg, b = tampered_s3()
         failures = associativity_suite(bad_alg, 40)
         report.add_bool("associativity", "rewriting confluence (PBW flatness)", failures == 0,
                         {"failures": failures, "mutated": True})

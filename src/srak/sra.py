@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .coeffs import ParamPoly, R0, R1, rat
+from .coeffs import ParamPoly, R0, R1, exact, rat
 from .coeffs import _kernel as K
 
 
@@ -62,6 +62,41 @@ def _poly_raw_const(arity, value):
 def _lower(x):
     """An int or Fraction as an int when it is integral."""
     return x.numerator if x.denominator == 1 else x
+
+
+def omega_kappa(group, rdata, local=None, mu=R1):
+    """The commutator table of the omega-form presentation:
+
+        kappa(v_j, v_i) = t*omega(v_j, v_i) + sum_s mu*c(s)*omega_s(v_j, v_i)*s
+
+    with c(s) the parameter of the conjugation orbit of s.  ``local`` maps
+    group ids to the ids they carry in the table, and only the reflections
+    it contains enter (None: every reflection, under its own id); ``mu``
+    converts the parameter normalization.
+    """
+    if local is None:
+        local = {s: s for s in rdata.reflections}
+    kept = [s for s in rdata.reflections if s in local]
+    nparams = rdata.num_orbits + 1
+    n = group.dim
+    kappa = {}
+    for j in range(n):
+        for i in range(j):
+            terms = {}
+            vi = tuple(R1 if k == i else R0 for k in range(n))
+            vj = tuple(R1 if k == j else R0 for k in range(n))
+            w = group.omega_eval(vj, vi)
+            if w:
+                K.emap_axpy(terms, 0, {(1,) + (0,) * (nparams - 1): R1}, w)
+            for s in kept:
+                ws = rdata.omega_s_eval(s, vj, vi)
+                if ws:
+                    e = [0] * nparams
+                    e[rdata.orbit_of[s] + 1] = 1
+                    K.emap_axpy(terms, local[s], {tuple(e): R1}, ws * mu)
+            if terms:
+                kappa[(j, i)] = tuple(sorted(terms.items()))
+    return kappa
 
 
 class SRAlgebra:
@@ -123,42 +158,11 @@ class SRAlgebra:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def omega_form(cls, group, rdata, c_scale=None, extra_names=None):
-        """Build the presentation driven by the symplectic form data.
-
-        kappa(v_j, v_i) = t*omega(v_j, v_i) + sum_s c(s)*omega_s(v_j, v_i)*s
-        with c(s) the parameter of the conjugation orbit of s, optionally
-        rescaled by ``c_scale`` (used to install converted parameter
-        normalizations).
-        """
-        nparams = rdata.num_orbits + 1
-        n = group.dim
-        ei = [R0] * n
-        kappa = {}
-        for j in range(n):
-            for i in range(j):
-                terms = {}
-                vi = tuple(R1 if k == i else R0 for k in range(n))
-                vj = tuple(R1 if k == j else R0 for k in range(n))
-                w = group.omega_eval(vj, vi)
-                if w:
-                    K.emap_axpy(terms, 0, {(1,) + (0,) * (nparams - 1): R1}, w)
-                for s in rdata.reflections:
-                    ws = rdata.omega_s_eval(s, vj, vi)
-                    if ws:
-                        orb = rdata.orbit_of[s]
-                        if c_scale is not None:
-                            ws = ws * c_scale
-                        e = [0] * nparams
-                        e[orb + 1] = 1
-                        K.emap_axpy(terms, s, {tuple(e): R1}, ws)
-                if terms:
-                    kappa[(j, i)] = tuple((gid, poly) for gid, poly in sorted(terms.items()))
-        x_count = group.h_dim if group.h_dim is not None else None
-        alg = cls(group, kappa, nparams, x_count=x_count, presentation="omega-form", rdata=rdata)
-        if extra_names:
-            alg.names.update(extra_names)
-        return alg
+    def omega_form(cls, group, rdata):
+        """Build the presentation driven by the symplectic form data
+        (``omega_kappa`` over every reflection)."""
+        kappa = omega_kappa(group, rdata)
+        return cls(group, kappa, rdata.num_orbits + 1, x_count=group.h_dim, presentation="omega-form", rdata=rdata)
 
     # -- element constructors -------------------------------------------
 
@@ -171,7 +175,7 @@ class SRAlgebra:
                 raise AlgebraError("parameter arity mismatch")
             poly = value
         else:
-            poly = ParamPoly.const(self.nparams, rat(value) if isinstance(value, int) else value)
+            poly = ParamPoly.const(self.nparams, exact(value))
         if not poly:
             return self.zero()
         return SRAElement(self, {((), 0): poly})
@@ -194,7 +198,7 @@ class SRAlgebra:
         """Element sum(coeffs[i] * v_i) * g."""
         terms = {}
         for i, c in enumerate(coeffs):
-            c = rat(c) if isinstance(c, int) else c
+            c = exact(c)
             if c:
                 K.emap_axpy(terms, ((i,), gid), _poly_raw_const(self.nparams, R1), c)
         return SRAElement(self, {k: ParamPoly(self.nparams, v) for k, v in terms.items()})
@@ -261,6 +265,7 @@ class SRAlgebra:
         if hit is not None:
             return hit
         acc = {(): 1}
+        # merged by hand: routed through K.maxpy this builds a map per word, measurably slower
         for v in word:
             col = self._column(gid, v)
             nxt = {}
@@ -301,9 +306,8 @@ class SRAlgebra:
             return out
         j, i = word[pos], word[pos + 1]
         swapped = word[:pos] + (i, j) + word[pos + 2 :]
-        out = {}
-        for k, p in self._word_normal(swapped).items():
-            K.emap_axpy(out, k, p, 1)
+        # copies, not aliases: the emap_axpy calls below write into them
+        out = {k: dict(p) for k, p in self._word_normal(swapped).items()}
         kap = self._kappa.get((j, i), ())
         if kap:
             prefix, suffix = word[:pos], word[pos + 2 :]
@@ -424,15 +428,7 @@ class SRAElement:
             other = self.algebra.scalar(other)
         if self.algebra is not other.algebra:
             raise AlgebraError("elements of different algebras")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if s:
-                out[k] = s
-            elif cur is not None:
-                del out[k]
-        return SRAElement(self.algebra, out)
+        return SRAElement(self.algebra, K.madd(self.terms, other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, SRAElement):
@@ -440,7 +436,7 @@ class SRAElement:
         return self + (-other)
 
     def __neg__(self):
-        return SRAElement(self.algebra, {k: -v for k, v in self.terms.items()})
+        return SRAElement(self.algebra, K.mneg(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, SRAElement):
@@ -452,17 +448,7 @@ class SRAElement:
         return self.scale(other)
 
     def scale(self, c):
-        if isinstance(c, ParamPoly):
-            out = {}
-            for k, v in self.terms.items():
-                p = v * c
-                if p:
-                    out[k] = p
-            return SRAElement(self.algebra, out)
-        c = rat(c) if isinstance(c, int) else c
-        if not c:
-            return self.algebra.zero()
-        return SRAElement(self.algebra, {k: v * c for k, v in self.terms.items()})
+        return SRAElement(self.algebra, K.mscale(self.terms, exact(c)))
 
     def commutator(self, other):
         return self * other - other * self
@@ -471,18 +457,13 @@ class SRAElement:
         """Substitute rationals for t and/or the orbit parameters."""
         values = {}
         if t is not None:
-            values[0] = rat(t) if isinstance(t, int) else t
+            values[0] = exact(t)
         if c is not None:
             if len(c) != self.algebra.nparams - 1:
                 raise AlgebraError("expected %d orbit parameters" % (self.algebra.nparams - 1))
             for i, v in enumerate(c):
-                values[i + 1] = rat(v) if isinstance(v, int) else v
-        out = {}
-        for k, v in self.terms.items():
-            p = v.specialize(values)
-            if p:
-                out[k] = p
-        return SRAElement(self.algebra, out)
+                values[i + 1] = exact(v)
+        return self.map_coefficients(lambda p: p.specialize(values))
 
     def vdegree(self):
         """Filtration degree: length of the longest word present."""
@@ -998,8 +979,8 @@ def trace_obstruction(dims_and_traces, m_list, c_list, t_value):
     those group traces exists at the given parameters (omega-form
     normalization).
     """
-    t_value = rat(t_value) if isinstance(t_value, int) else t_value
-    c_list = [rat(c) if isinstance(c, int) else c for c in c_list]
+    t_value = exact(t_value)
+    c_list = [exact(c) for c in c_list]
     if len(m_list) != len(c_list):
         raise AlgebraError("orbit count mismatch between weights and parameters")
     out = []
@@ -1030,10 +1011,10 @@ def lattice_gate(lattice, c_list, t_value=1):
     """True when some integer pairing occurs: the no-finite-dimensional-
     representation certificate fails and the parameter is a candidate for
     non-simplicity.  c in omega-form normalization, t = 1 scaling."""
-    t_value = rat(t_value) if isinstance(t_value, int) else t_value
+    t_value = exact(t_value)
     witnesses = []
     for lam in lattice:
-        val = sum((l * (rat(c) if isinstance(c, int) else c) for l, c in zip(lam, c_list)), R0) / t_value
+        val = sum((l * exact(c) for l, c in zip(lam, c_list)), R0) / t_value
         if val == int(val):
             witnesses.append(lam)
     return {"candidate_nonsimple": bool(witnesses), "integral_witnesses": witnesses}

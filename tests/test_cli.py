@@ -99,6 +99,29 @@ def test_bad_input_exits_2(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_failing_verdict_exits_1(capsys):
+    # a slice cutoff of 0 cannot show the finite-dimensional S2 module at
+    # c = 1/2, so the slice-evidence check fails: a verdict, not a crash
+    code = cli.main(["cherednik", "typea", "--n", "5", "--c", "1/2", "--slice-cutoff", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    verdicts = {c["name"]: c["verdict"] for c in json.loads(captured.out)["checks"]}
+    assert verdicts["slice_evidence"] == "fail"
+    assert "Traceback" not in captured.err
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("deliberate fault")
+
+    monkeypatch.setattr(cli, "cmd_group_analyze", broken)
+    code = cli.main(["group", "analyze", "--group", "symmetric:2:reflection"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "RuntimeError: deliberate fault" in captured.err
+
+
 def test_scan_reads_no_environment(monkeypatch, capsys):
     # the variable that once sized a scan process pool changes nothing
     argv = ["cherednik", "scan", "--builtin", "symmetric:2:reflection", "--c-list", "1/2,1/3", "--cutoff", "4"]
