@@ -620,6 +620,9 @@ def gram_kernel_vectors(ch, d, c_values):
 
 
 def _rank_profile_verdict(ranks, cutoff):
+    if cutoff == 0:
+        # the degree-0 rank is always 1: a profile of it alone decides nothing
+        return {"verdict": "inconclusive", "ranks": ranks}
     first_zero = next((d for d, r in enumerate(ranks) if r == 0), None)
     if first_zero is not None and all(r == 0 for r in ranks[first_zero:]):
         return {"verdict": "finite", "dim": sum(ranks), "ranks": ranks}
@@ -677,7 +680,8 @@ def finite_dim_scan(ch, c_list, cutoff):
     scanned; the verdicts are "finite" (some rank profile reaches 0 at a
     degree <= cutoff and stays 0 through it; the dimension is the sum of
     that profile's surviving ranks), "infinite" (every profile still has
-    positive rank at the cutoff), or "inconclusive".  The scan never
+    positive rank at the cutoff), or "inconclusive" (always at cutoff 0,
+    where the only rank is the degree-0 one, which is 1).  The scan never
     extrapolates beyond the cutoff.
     """
     if ch.nparams != 2:
@@ -716,10 +720,14 @@ def type_a_report(n, c, slice_cutoff=None, include_slice_evidence=True):
     ideals, nested, labeled by the Young subgroups S_m^(x j); otherwise it
     is predicted simple.  The ideal count is a recorded prediction; the
     attached computational evidence is the rank collapse of the slice
-    pairing for S_m at the same parameter.
+    pairing for S_m at the same parameter.  A slice cutoff of 0 is
+    refused: a cutoff-0 scan is always inconclusive, so it cannot decide
+    the evidence either way.
     """
     if n < 2:
         raise CherednikError("n must be at least 2")
+    if slice_cutoff == 0:
+        raise CherednikError("a slice cutoff of 0 decides nothing: the degree-0 pairing rank is always 1")
     cval = parse_rational(c) if isinstance(c, str) else exact(c)
     q, m = int(cval.numerator), int(cval.denominator)
     report = {

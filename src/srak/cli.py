@@ -6,10 +6,11 @@ selftest.  Group specs are JSON files (fields ``dim_h``,
 ``generators_on_h``, optional ``builtin``/``gen_names``) or the inline
 shorthand ``symmetric:<n>:<rep>``.  Reports are deterministic JSON on
 stdout (or --out); human summaries and timing go to stderr.  Exit codes:
-0 all verdicts pass, 1 some check failed, 2 parse/spec errors, 3
-computational precondition failures, 4 internal error (any other
-exception; its traceback goes to stderr).  No environment variable is
-consulted.
+0 all verdicts pass, 1 some check failed, 2 parse/spec errors (among
+them ``ArityError``, an exponent vector of the wrong length or with a
+negative entry, and a typea ``--slice-cutoff`` of 0), 3 computational
+precondition failures, 4 internal error (any other exception; its
+traceback goes to stderr).  No environment variable is consulted.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from . import cherednik as CH
 from . import completion as CP
 from . import groups as G
 from . import sra as S
-from .coeffs import R1, ArityError, parse_rational, rat_str
+from .coeffs import R1, parse_rational, rat_str
 from .report import Report
 
 PARSE_ERRORS = (ValueError, KeyError, json.JSONDecodeError, OSError)
@@ -34,7 +35,6 @@ COMPUTE_ERRORS = (
     CH.CherednikError,
     CP.CompletionError,
     C.CentralizerError,
-    ArityError,
 )
 
 C_LIST_PRESETS = {
@@ -77,6 +77,14 @@ def non_negative_int(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("expected a non-negative integer, got %s" % text)
+    return value
+
+
+def positive_int(text):
+    """argparse type for the typea slice cutoff, where 0 decides nothing."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %s" % text)
     return value
 
 
@@ -382,7 +390,7 @@ def build_parser():
     ct = chsub.add_parser("typea")
     ct.add_argument("--n", type=int, required=True)
     ct.add_argument("--c", required=True)
-    ct.add_argument("--slice-cutoff", dest="slice_cutoff", type=non_negative_int)
+    ct.add_argument("--slice-cutoff", dest="slice_cutoff", type=positive_int)
     add_out(ct)
     ct.set_defaults(fn=cmd_cherednik_typea)
 

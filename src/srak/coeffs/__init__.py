@@ -75,6 +75,17 @@ def _check_arity(a, b):
         raise ArityError("parameter arity mismatch: %d vs %d" % (a.arity, b.arity))
 
 
+def check_exponents(arity, exponents):
+    """``exponents`` as a tuple; raises ArityError unless it has length
+    ``arity`` and only non-negative int entries."""
+    e = tuple(exponents)
+    if len(e) != arity:
+        raise ArityError("exponent vector %r has arity %d, expected %d" % (e, len(e), arity))
+    if not all(type(k) is int and k >= 0 for k in e):
+        raise ArityError("exponent vector %r has an entry that is not a non-negative integer" % (e,))
+    return e
+
+
 class ParamPoly:
     """Polynomial in the parameters with exact rational coefficients.
 
@@ -109,17 +120,18 @@ class ParamPoly:
 
     @classmethod
     def var(cls, arity, index, power=1, coeff=R1):
+        if not 0 <= index < arity:
+            raise ArityError("variable index %d out of range for arity %d" % (index, arity))
         e = [0] * arity
         e[index] = power
-        return cls(arity, {tuple(e): coeff}) if coeff else cls(arity)
+        return cls.monomial(arity, e, coeff)
 
     @classmethod
     def monomial(cls, arity, exponents, coeff):
-        if len(exponents) != arity:
-            raise ArityError("exponent vector has wrong arity")
+        e = check_exponents(arity, exponents)
         if not coeff:
             return cls(arity)
-        return cls(arity, {tuple(exponents): coeff})
+        return cls(arity, {e: coeff})
 
     # -- ring operations ---------------------------------------------
 

@@ -1,13 +1,20 @@
 """Sparse term-map kernels: the package's only sparse-map arithmetic.
 
 Every coefficient object in the package is ultimately a dict mapping a
-hashable key (an exponent tuple, a (monomial, group-element) pair, a
-(monomial, component) pair, a group id or a column index) to an exact
-value: an int, a ``Fraction`` or a ``ParamPoly``.  The functions here are
-the one place that merges, scales, scale-accumulates and convolves such
-maps, pruning exact zeros (a value is zero when it is falsy).  Results
-never alias their inputs; only ``maxpy``/``emap_axpy`` write, and only to
-their first argument.
+hashable key (an exponent tuple, a packed monomial int, a (monomial,
+group-element) pair, a (monomial, component) pair, a group id or a column
+index) to an exact value: an int, a ``Fraction`` or a ``ParamPoly``.  The
+functions here are the one place that merges, scales, scale-accumulates
+and convolves such maps, pruning exact zeros (a value is zero when it is
+falsy).  Results never alias their inputs; only ``maxpy``,
+``emap_axpy`` and ``emap_addmul`` write, and only to their first argument.
+
+Two convolutions: ``mmul`` adds exponent tuples componentwise, for
+``ParamPoly`` products and ``cherednik.StandardModule.act_poly``;
+``pmul`` and the fused ``emap_addmul`` take packed int keys, whose sum is
+the product monomial, and serve only the PBW rewriting core
+(``SRAlgebra._word_normal`` and ``multiply``), which packs exponent
+vectors and guards the fields against carries (see ``sra``).
 
 Callers: ``ParamPoly`` arithmetic, PBW normal ordering (``sra``), the
 Dunkl module vectors (``cherednik.StandardModule``), group-algebra
@@ -87,6 +94,43 @@ def mmul(a, b):
                     out[e] = cur
                 else:
                     del out[e]
+    return out
+
+
+def pmul(a, b):
+    """Convolution product of two maps with packed int keys: a key is a
+    monomial, and the product of two monomials is the sum of their keys."""
+    out = {}
+    emap_addmul(out, 0, a, b, 1)
+    return out.get(0, {})
+
+
+def emap_addmul(out, key, a, b, s):
+    """In-place out[key] += s * pmul(a, b), without building the product
+    map; values of out are packed-key term maps."""
+    if not s or not a or not b:
+        return out
+    acc = out.get(key)
+    if acc is None:
+        acc = out[key] = {}
+    if len(a) > len(b):
+        a, b = b, a
+    for ka, ca in a.items():
+        if s != 1:
+            ca = s * ca
+        for kb, cb in b.items():
+            k = ka + kb
+            cur = acc.get(k)
+            if cur is None:
+                acc[k] = ca * cb
+            else:
+                cur = cur + ca * cb
+                if cur:
+                    acc[k] = cur
+                else:
+                    del acc[k]
+    if not acc:
+        del out[key]
     return out
 
 

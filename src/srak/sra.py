@@ -18,17 +18,26 @@ omega-form presentation (kappa built from the symplectic form and the
 per-reflection forms, with parameter t on the identity and c_i on orbit
 i) is the default; the Cherednik layer installs its own table.
 
-The rewriting core runs on Python ints.  Each parameter c_p gets a scale
-d_p, the least common multiple of the denominators of the kappa
-coefficients on its linear monomial, and the core works in the variables
-u_p = c_p / d_p, in which the builtin kappa tables and group matrices are
-integral (the S3 omega-form kappa has d = (1, 2)).  ``multiply`` is the
-boundary: it rescales the coefficients of its factors into the u-variables
-(the coefficient of u^e is that of c^e times prod d_p^e_p) and divides the
-result back exactly, so every coefficient it returns is a ``Fraction`` in
-the public c-variables.  Data that stays non-integral after scaling (a
-constant kappa term with a denominator, a non-integral group matrix) flows
-through the same code as ``Fraction`` values mixed with ints.
+The rewriting core runs on packed monomial keys and Python ints.  Each
+parameter c_p gets a scale d_p, the least common multiple of the
+denominators of the kappa coefficients on its linear monomial, and the
+core works in the variables u_p = c_p / d_p, in which the builtin kappa
+tables and group matrices are integral (the S3 omega-form kappa has
+d = (1, 2)).  A monomial u^e is keyed by one int, with e_p in bits
+[PACK_BITS*p, PACK_BITS*(p+1)), so multiplying two monomials is adding two
+ints (packed exponent vectors, Monagan-Pearce 2007).  ``multiply`` is the
+boundary: it packs the coefficients of its factors into the u-variables
+(the coefficient of u^e is that of c^e times prod d_p^e_p), and unpacks
+the result and divides it back exactly, so every coefficient it returns is
+a ``Fraction`` in the public c-variables, keyed by exponent tuples.  A
+carry between fields would be silent, so ``multiply`` first bounds the
+product's exponents: E(a) + E(b) + k*(L(a) + L(b))//2, with E a factor's
+largest parameter exponent, L its longest word and k the largest exponent
+in the kappa table (each kappa step removes two letters), and raises
+AlgebraError when that reaches 2^PACK_BITS.  Data that stays non-integral
+after scaling (a constant kappa term with a denominator, a non-integral
+group matrix) flows through the same code as ``Fraction`` values mixed
+with ints.
 
 Also here: the spherical corner, degree-truncated center computation
 with its corner cross-checks, the Poisson bracket on the t = 0 center,
@@ -43,8 +52,14 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .coeffs import ParamPoly, R0, R1, exact, rat
+from .coeffs import ArityError, ParamPoly, R0, R1, check_exponents, exact, rat
 from .coeffs import _kernel as K
+
+
+# width in bits of one parameter's field in a packed monomial key: the
+# exponent e_p of u^e sits in bits [PACK_BITS*p, PACK_BITS*(p+1))
+PACK_BITS = 32
+_FIELD = 1 << PACK_BITS
 
 
 class AlgebraError(ValueError):
@@ -115,13 +130,11 @@ class SRAlgebra:
                         p = e.index(1)
                         scales[p] = math.lcm(scales[p], c.denominator)
         self.scales = tuple(scales)
-        self._unit_scales = all(d == 1 for d in scales)
-        self._weights = {}
-        # the rewriting table in the u-variables
-        self._kappa = {
-            key: tuple((gid, {e: _lower(c * self._weight(e)) for e, c in poly.items()}) for gid, poly in terms)
-            for key, terms in kappa.items()
-        }
+        self._packs = {}  # exponent tuple -> (packed key, weight, largest exponent)
+        self._unpacks = {}  # packed key -> (exponent tuple, weight)
+        # the rewriting table in the u-variables, keyed by packed monomials
+        self._kappa = {key: tuple((gid, self._to_u(poly)[0]) for gid, poly in terms) for key, terms in kappa.items()}
+        self._kappa_exp = max((self._pack(e)[2] for terms in kappa.values() for _, poly in terms for e in poly), default=0)
         self.x_count = x_count
         self.rdata = rdata
         self.presentation = presentation
@@ -204,50 +217,72 @@ class SRAlgebra:
         return SRAElement(self, {k: ParamPoly(self.nparams, v) for k, v in terms.items()})
 
     def element(self, raw_terms):
-        return SRAElement(self, {k: (v if isinstance(v, ParamPoly) else ParamPoly(self.nparams, v)) for k, v in raw_terms.items() if v})
+        """Element from {(word, gid): coefficient}, a coefficient a ParamPoly
+        or a raw {exponents: rational} map.  Raises ArityError on an
+        exponent tuple of the wrong length or with a negative entry."""
+        terms = {}
+        for k, v in raw_terms.items():
+            if isinstance(v, ParamPoly):
+                if v.arity != self.nparams:
+                    raise ArityError("coefficient arity %d, expected %d" % (v.arity, self.nparams))
+                v = v.terms
+            poly = {check_exponents(self.nparams, e): c for e, c in v.items() if c}
+            if poly:
+                terms[k] = ParamPoly(self.nparams, poly)
+        return SRAElement(self, terms)
 
     # -- rewriting core --------------------------------------------------
     #
     # Everything from here to ``multiply`` works in the u-variables, with
-    # int coefficients wherever the data is integral.
+    # int coefficients wherever the data is integral, and keys each
+    # coefficient monomial u^e by one packed int (see ``PACK_BITS``).
 
-    def _weight(self, e):
-        """prod d_p^e_p: the factor between the coefficients of c^e and u^e."""
-        w = self._weights.get(e)
-        if w is None:
-            w = 1
-            for d, k in zip(self.scales, e):
+    def _pack(self, e):
+        """(packed key, weight prod d_p^e_p, largest exponent) of an
+        exponent tuple; raises ArityError on a malformed one and
+        AlgebraError on an exponent too large for its field."""
+        hit = self._packs.get(e)
+        if hit is None:
+            top = max(check_exponents(self.nparams, e), default=0)
+            if top >= _FIELD:
+                raise AlgebraError("parameter exponent %d reaches 2^%d" % (top, PACK_BITS))
+            key, w = 0, 1
+            for p, (d, k) in enumerate(zip(self.scales, e)):
+                key |= k << (PACK_BITS * p)
                 w *= d**k
-            self._weights[e] = w
-        return w
+            hit = self._packs[e] = (key, w, top)
+        return hit
 
     def _to_u(self, terms):
-        """A coefficient map in the c-variables, rewritten in the u-variables."""
-        if self._unit_scales:
-            return terms
-        weight = self._weight
+        """A coefficient map in the c-variables, rewritten in the u-variables
+        with packed keys, and its largest single exponent."""
+        pack = self._pack
         out = {}
+        top = 0
         for e, c in terms.items():
-            w = weight(e)
-            out[e] = _lower(c * w if w != 1 else c)
-        return out
+            key, w, emax = pack(e)
+            out[key] = _lower(c * w if w != 1 else c)
+            if emax > top:
+                top = emax
+        return out, top
 
     def _from_u(self, terms):
-        """In place: a coefficient map in the u-variables, rewritten in the
-        c-variables with Fraction values (exact division)."""
-        if self._unit_scales:
-            for e, c in terms.items():
-                if type(c) is int:
-                    terms[e] = Fraction(c)
-            return terms
-        weight = self._weight
-        for e, c in terms.items():
-            w = weight(e)
+        """A packed coefficient map in the u-variables, rewritten in the
+        c-variables with exponent-tuple keys and Fraction values (exact
+        division)."""
+        unpacks = self._unpacks
+        out = {}
+        for key, c in terms.items():
+            hit = unpacks.get(key)
+            if hit is None:
+                e = tuple((key >> (PACK_BITS * p)) & (_FIELD - 1) for p in range(self.nparams))
+                hit = unpacks[key] = (e, self._pack(e)[1])
+            e, w = hit
             if type(c) is int:
-                terms[e] = Fraction(c, w) if w != 1 else Fraction(c)
-            elif w != 1:
-                terms[e] = c / w
-        return terms
+                out[e] = Fraction(c, w) if w != 1 else Fraction(c)
+            else:
+                out[e] = c / w if w != 1 else c
+        return out
 
     def _column(self, gid, v):
         key = (gid, v)
@@ -301,12 +336,12 @@ class SRAlgebra:
                 pos = idx
                 break
         if pos < 0:
-            out = {(word, 0): _poly_raw_const(self.nparams, 1)}
+            out = {(word, 0): {0: 1}}
             self._word_cache[word] = out
             return out
         j, i = word[pos], word[pos + 1]
         swapped = word[:pos] + (i, j) + word[pos + 2 :]
-        # copies, not aliases: the emap_axpy calls below write into them
+        # copies, not aliases: the emap_addmul calls below write into them
         out = {k: dict(p) for k, p in self._word_normal(swapped).items()}
         kap = self._kappa.get((j, i), ())
         if kap:
@@ -319,8 +354,7 @@ class SRAlgebra:
                     exp = (((), 1),)
                 for w2, q in exp:
                     for (m, g2), p in self._word_normal(prefix + w2).items():
-                        contrib = K.mmul(kpoly, p)
-                        K.emap_axpy(out, (m, mul(g2, gid)), contrib, q)
+                        K.emap_addmul(out, (m, mul(g2, gid)), kpoly, p, q)
         self._word_cache[word] = out
         return out
 
@@ -339,20 +373,35 @@ class SRAlgebra:
 
     def multiply(self, a, b, xcap=None):
         """Normal-form product.  ``xcap`` prunes terms whose x-degree is
-        provably >= xcap (doubled algebras only)."""
+        provably >= xcap (doubled algebras only).  Raises AlgebraError when
+        a parameter exponent of the product could reach 2^PACK_BITS."""
         if a.algebra is not b.algebra:
             raise AlgebraError("elements of different algebras")
         xc = self.x_count
         mul = self.group.mul
         to_u = self._to_u
-        unit = {((), 0): _poly_raw_const(self.nparams, 1)}
+        unit = {((), 0): {0: 1}}
         right = []  # (word, gid, coefficients in u, x-degree minus y-degree)
+        top_b = len_b = 0
         for (m2, g2), p2 in b.terms.items():
             x2 = sum(1 for v in m2 if v < xc) if xcap is not None else 0
-            right.append((m2, g2, to_u(p2.terms), 2 * x2 - len(m2)))
-        out = {}
+            p2r, top = to_u(p2.terms)
+            right.append((m2, g2, p2r, 2 * x2 - len(m2)))
+            top_b = max(top_b, top)
+            len_b = max(len_b, len(m2))
+        left = []
+        top_a = len_a = 0
         for (m1, g1), p1 in a.terms.items():
-            p1r = to_u(p1.terms)
+            p1r, top = to_u(p1.terms)
+            left.append((m1, g1, p1r))
+            top_a = max(top_a, top)
+            len_a = max(len_a, len(m1))
+        # each kappa step removes two letters and raises an exponent by at
+        # most _kappa_exp, so no packed field of the product can carry
+        if top_a + top_b + self._kappa_exp * ((len_a + len_b) // 2) >= _FIELD:
+            raise AlgebraError("a parameter exponent of this product could reach 2^%d" % PACK_BITS)
+        out = {}
+        for m1, g1, p1r in left:
             if xcap is not None:
                 x1 = sum(1 for v in m1 if v < xc)
                 xy1 = 2 * x1 - len(m1)
@@ -360,23 +409,24 @@ class SRAlgebra:
                 if xcap is not None and xy1 + xy2 >= xcap:
                     continue
                 g12 = mul(g1, g2)
-                p12 = K.mmul(p1r, p2r)
+                p12 = K.pmul(p1r, p2r)
                 if not p12:
                     continue
                 pieces = self._gmono_normal(g1, m2) if m2 else unit
                 for (mp, gp), q in pieces.items():
-                    coeff = K.mmul(p12, q)
+                    coeff = K.pmul(p12, q)
                     if not coeff:
                         continue
+                    g = mul(gp, g12)
                     if m1:
                         for (m, gk), pk in self._word_normal(m1 + mp).items():
                             if xcap is not None and sum(1 for v in m if v < xc) >= xcap:
                                 continue
-                            K.emap_axpy(out, (m, mul(mul(gk, gp), g12)), K.mmul(coeff, pk), 1)
+                            K.emap_addmul(out, (m, mul(gk, g)), coeff, pk, 1)
                     else:
                         if xcap is not None and sum(1 for v in mp if v < xc) >= xcap:
                             continue
-                        K.emap_axpy(out, (mp, mul(gp, g12)), coeff, 1)
+                        K.emap_axpy(out, (mp, g), coeff, 1)
         from_u = self._from_u
         return SRAElement(self, {k: ParamPoly(self.nparams, from_u(v)) for k, v in out.items()})
 

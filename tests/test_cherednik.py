@@ -328,6 +328,15 @@ def test_scan_n3(ch3):
     assert scan[2]["verdict"] != "finite"
 
 
+def test_cutoff_0_profiles_are_inconclusive(ch2, ch3):
+    # the degree-0 rank is 1 at every c, finite (1/2) and infinite (1/4) alike
+    for ch in (ch2, ch3):
+        for r in CH.finite_dim_scan(ch, ["1/2", "1/4", "-1/2"], 0):
+            assert r["verdict"] == "inconclusive"
+            assert r["profiles"] == {"trivial": [1], "determinant": [1]}
+    assert CH.finite_dim_scan(ch2, ["1/2"], 1)[0]["verdict"] == "finite"
+
+
 def test_scan_rejects_bad_input_before_any_gram(ch2, monkeypatch):
     def no_lowering(*args):
         raise AssertionError("a pairing matrix was built for rejected input")
@@ -339,6 +348,8 @@ def test_scan_rejects_bad_input_before_any_gram(ch2, monkeypatch):
         CH.finite_dim_scan(ch2, [], 3)
     with pytest.raises(CH.CherednikError, match="non-negative"):
         CH.type_a_report(3, "1/2", slice_cutoff=-1)
+    with pytest.raises(CH.CherednikError, match="decides nothing"):
+        CH.type_a_report(5, "1/2", slice_cutoff=0)
     with pytest.raises(CH.CherednikError, match="non-negative"):
         CH.contravariant_gram(ch2, -1)
 

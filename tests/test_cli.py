@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from srak import cli
+from srak.coeffs import ParamPoly
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -77,6 +78,7 @@ def test_scan_builtin_and_preset():
 @pytest.mark.parametrize("argv", [
     ["cherednik", "scan", "--builtin", "symmetric:2:reflection", "--c-list", "1/2", "--cutoff", "-1"],
     ["cherednik", "typea", "--n", "3", "--c", "1/2", "--slice-cutoff", "-1"],
+    ["cherednik", "typea", "--n", "5", "--c", "1/2", "--slice-cutoff", "0"],
     ["cherednik", "scan", "--builtin", "symmetric:2:reflection", "--c-list", ",", "--cutoff", "2"],
     ["cherednik", "gram", "--group", "symmetric:2:reflection", "--deg", "-1"],
     ["sra", "center", "--group", "symmetric:2:reflection", "--deg", "-1"],
@@ -87,7 +89,7 @@ def test_scan_builtin_and_preset():
     ["sra", "mul", "--group", "symmetric:2:reflection", "--lhs", "x", "--rhs", "x + q"],
     ["sra", "poisson", "--group", "symmetric:2:reflection", "--lhs", "x^2", "--rhs", "y^"],
     ["sra", "normalize", "--group", "symmetric:2:reflection", "--expr", "x^99999999"],
-], ids=["scan-cutoff", "typea-slice-cutoff", "scan-empty-c-list", "gram-deg", "center-deg",
+], ids=["scan-cutoff", "typea-slice-cutoff", "typea-slice-cutoff-0", "scan-empty-c-list", "gram-deg", "center-deg",
         "expr-open-power", "expr-open-product", "expr-empty", "expr-open-paren", "mul-unknown-symbol",
         "poisson-open-power", "expr-huge-exponent"])
 def test_bad_input_exits_2(argv, capsys):
@@ -100,13 +102,33 @@ def test_bad_input_exits_2(argv, capsys):
 
 
 def test_failing_verdict_exits_1(capsys):
-    # a slice cutoff of 0 cannot show the finite-dimensional S2 module at
-    # c = 1/2, so the slice-evidence check fails: a verdict, not a crash
-    code = cli.main(["cherednik", "typea", "--n", "5", "--c", "1/2", "--slice-cutoff", "0"])
+    # the finite-dimensional S2 module at c = 3/2 has ranks 1, 1, 1, so a
+    # slice cutoff of 1 still sees positive rank and the slice-evidence
+    # check fails: a verdict, not a crash
+    code = cli.main(["cherednik", "typea", "--n", "5", "--c", "3/2", "--slice-cutoff", "1"])
     captured = capsys.readouterr()
     assert code == 1
     verdicts = {c["name"]: c["verdict"] for c in json.loads(captured.out)["checks"]}
     assert verdicts["slice_evidence"] == "fail"
+    assert "Traceback" not in captured.err
+
+
+def test_cutoff_0_scan_is_inconclusive(capsys):
+    # the degree-0 rank is always 1, so it cannot tell finite from infinite
+    code = cli.main(["cherednik", "scan", "--builtin", "symmetric:2:reflection", "--c-list", "1/2", "--cutoff", "0"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [c["data"]["verdict"] for c in data["checks"]] == ["inconclusive"]
+
+
+def test_arity_error_exits_2(monkeypatch, capsys):
+    def wrong_arity(args):
+        return ParamPoly.var(2, 0, power=-1)
+
+    monkeypatch.setattr(cli, "cmd_group_analyze", wrong_arity)
+    code = cli.main(["group", "analyze", "--group", "symmetric:2:reflection"])
+    captured = capsys.readouterr()
+    assert code == 2
     assert "Traceback" not in captured.err
 
 

@@ -57,6 +57,15 @@ def test_arity_mismatch_errors():
         ParamPoly.var(2, 0) + ParamPoly.var(3, 0)
     with pytest.raises(ArityError):
         ParamPoly.var(2, 0) * ParamPoly.var(3, 0)
+    # a negative exponent would let t^-1 * t print as 1
+    with pytest.raises(ArityError):
+        ParamPoly.var(2, 0, power=-1)
+    with pytest.raises(ArityError):
+        ParamPoly.var(2, 2)
+    with pytest.raises(ArityError):
+        ParamPoly.monomial(2, (1, -1), R1)
+    with pytest.raises(ArityError):
+        ParamPoly.monomial(2, (1, 0, 0), R1)
 
 
 def test_div_t_examples():

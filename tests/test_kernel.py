@@ -5,14 +5,18 @@ The package's sparse-map arithmetic goes through ``srak.coeffs._kernel``
 on the three kinds of value the package stores: rationals, ints mixed with
 ``Fraction``s, and ``ParamPoly``s.  The reference sums over the union of
 the keys and drops values that compare equal to 0 (no truthiness test).
+The packed-key products are checked on keys packed as ``SRAlgebra`` packs
+them, together with the guard that keeps their fields from carrying.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srak import sra as S
 from srak.coeffs import ParamPoly
 from srak.coeffs import _kernel as K
 
@@ -40,11 +44,16 @@ def ref_axpy(a, b, s):
     return out
 
 
-def ref_mul(a, b):
+def add_tuples(ka, kb):
+    return tuple(x + y for x, y in zip(ka, kb))
+
+
+def ref_mul(a, b, join=add_tuples):
+    """The convolution product; ``join`` is the product of two keys."""
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
+            k = join(ka, kb)
             out[k] = out.get(k, 0) + va * vb
     return {k: v for k, v in out.items() if v != 0}
 
@@ -115,3 +124,70 @@ def test_emap_axpy_matches_reference(kind, data):
         assert inner, "an empty inner map was kept"
         assert_pruned(inner)
         assert inner is not poly
+
+
+# monomials of two parameters with exponents 0..3, packed into one int
+PACKED_KEYS = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda e: e[0] | e[1] << S.PACK_BITS)
+
+
+def packed_maps(kind, min_size=0):
+    return st.dictionaries(PACKED_KEYS, SCALARS[kind].filter(lambda v: v != 0), min_size=min_size, max_size=6)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_packed_products_match_reference(kind, data):
+    a, b = data.draw(packed_maps(kind)), data.draw(packed_maps(kind))
+    out = data.draw(st.dictionaries(st.integers(0, 2), packed_maps(kind, min_size=1), max_size=3))
+    key = data.draw(st.integers(0, 3))
+    s = data.draw(SCALARS[kind])
+    a0, b0 = snapshot(a), snapshot(b)
+    product = ref_mul(a, b, operator.add)
+    got = K.pmul(a, b)
+    assert got == product
+    assert_pruned(got)
+    assert got is not a and got is not b
+    want = snapshot(out)
+    inner = ref_axpy(want.get(key, {}), product, s)
+    want.pop(key, None)
+    if inner:
+        want[key] = inner
+    assert K.emap_addmul(out, key, a, b, s) is out
+    assert out == want
+    assert a == a0 and b == b0  # no input mutated
+    for inner in out.values():
+        assert inner, "an empty inner map was kept"
+        assert_pruned(inner)
+        assert inner is not a and inner is not b
+    # exact cancellation leaves nothing behind
+    assert K.madd(K.pmul(a, b), K.pmul(a, K.mneg(b))) == {}
+    start = K.pmul(a, b)
+    assert K.emap_addmul({key: start} if start else {}, key, a, b, -1) == {}
+
+
+def test_products_refuse_exponents_that_would_carry(omega_alg2):
+    """``multiply`` raises when E(a) + E(b) + k*(L(a) + L(b))//2 reaches
+    2^PACK_BITS (E the largest parameter exponent of a factor, L its
+    longest word, k the largest exponent in the kappa table, 1 for S2):
+    past it a packed field could carry into the next one.  Just below it
+    the product is exact."""
+    alg = omega_alg2
+    top = 1 << S.PACK_BITS
+    x, y = (0,), (1,)
+
+    def t_power(n, word):
+        return alg.element({(word, 0): {(n, 0): 1}})
+
+    # y*x rewrites once, and its kappa term lifts t^(top-2) to t^(top-1)
+    got = t_power(top - 2, y) * t_power(0, x)
+    assert got == (alg.gen(1) * alg.gen(0)).scale(ParamPoly.var(2, 0, power=top - 2))
+    assert any(e == (top - 1, 0) for p in got.terms.values() for e in p.terms)
+    for a, b in [
+        (t_power(top - 1, y), t_power(0, x)),  # one kappa step reaches top
+        (t_power(top // 2, ()), t_power(top // 2, ())),  # the factors' exponents alone
+        (t_power(top - 1, ()), t_power(1, x)),
+        (t_power(top, ()), t_power(0, ())),  # a factor's field overflows by itself
+    ]:
+        with pytest.raises(S.AlgebraError, match="2\\^%d" % S.PACK_BITS):
+            a * b

@@ -12,7 +12,7 @@ from srak import cherednik as CH
 from srak import completion as CP
 from srak import groups as G
 from srak import sra as S
-from srak.coeffs import ParamPoly, R0, R1, rat
+from srak.coeffs import ArityError, ParamPoly, R0, R1, rat
 from srak.selftest import associativity_suite, random_element
 
 
@@ -448,10 +448,31 @@ def engine_algebra(name):
 
 def elements(alg, max_degree=2):
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
-    poly = st.dictionaries(st.tuples(*[st.integers(0, 1)] * alg.nparams), coeff, min_size=1, max_size=2)
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 3)] * alg.nparams), coeff, min_size=1, max_size=2)
     word = st.lists(st.integers(0, alg.nv - 1), max_size=max_degree).map(lambda w: tuple(sorted(w)))
     key = st.tuples(word, st.integers(0, alg.group.order - 1))
     return st.dictionaries(key, poly, max_size=3).map(alg.element)
+
+
+@pytest.mark.parametrize("name", ["s3-omega", "dihedral-omega"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_parse_inverts_printing(name, data):
+    alg = engine_algebra(name)
+    e = data.draw(elements(alg, max_degree=3))
+    assert alg.parse(e.to_str()) == e
+
+
+def test_element_rejects_exponents_the_core_cannot_hold(omega_alg3):
+    # in a product, zip would silently truncate wrong-arity keys, and a
+    # negative exponent would borrow from the next packed field
+    for raw in ({(1,): 1}, {(0, 1, 5): 1}, {(0, -1): 1}):
+        with pytest.raises(ArityError):
+            omega_alg3.element({((0,), 0): raw})
+    with pytest.raises(ArityError):
+        omega_alg3.element({((0,), 0): ParamPoly.var(3, 0)})
+    elt = omega_alg3.element({((0,), 0): {(0, 1): Fraction(1)}, ((1,), 0): {(2, 0): 0}})
+    assert elt == omega_alg3.parse("c1*x1")
 
 
 def reference_product(alg, a, b, xcap=None):
