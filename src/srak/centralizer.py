@@ -494,13 +494,19 @@ def corner_recover(ctx, iota_group, iota_e, mul, eq, b):
     identity-coset idempotent, ``mul``/``eq`` are B's operations.  The
     recovered matrix has entries  e i(g_i) b i(g_j)^{-1} e  in the corner
     algebra e B e.  Raises when the supplied images break the
-    group/idempotent relations they are required to satisfy.
+    group/idempotent relations they are required to satisfy: the group
+    law on the Cayley edges (``FiniteSymplecticGroup.cayley_edges``), with
+    i(1) a two-sided identity on ``iota_e`` and ``b``, so that the zero
+    map is refused.
     """
     G = ctx.group
-    for g in range(G.order):
-        for h in range(G.order):
-            if not eq(mul(iota_group[g], iota_group[h]), iota_group[G.mul(g, h)]):
-                raise CentralizerError("supplied images fail the group relations")
+    for g, s, gs in G.cayley_edges():
+        if not eq(mul(iota_group[g], iota_group[s]), iota_group[gs]):
+            raise CentralizerError("supplied images fail the group relations")
+    unit = iota_group[0]
+    for x in (iota_e, b):
+        if not (eq(mul(unit, x), x) and eq(mul(x, unit), x)):
+            raise CentralizerError("supplied image of the identity does not act as the identity")
     if not eq(mul(iota_e, iota_e), iota_e):
         raise CentralizerError("supplied idempotent image is not idempotent")
     for h in ctx.sub_ids:

@@ -258,11 +258,14 @@ class StandardModule:
         grp = self.ch.group
         if set(tau) != set(range(grp.order)):
             raise CherednikError("tau must supply a matrix for every group element")
-        for g in range(grp.order):
-            for h in range(grp.order):
-                prod = linalg.mat_mul([list(r) for r in tau[g]], [list(r) for r in tau[h]])
-                if not linalg.mat_eq(prod, [list(r) for r in tau[grp.mul(g, h)]]):
-                    raise CherednikError("tau matrices do not form a representation")
+        # tau(e) = 1 plus the Cayley edges is the whole group law
+        # (FiniteSymplecticGroup.cayley_edges); it refuses tau = 0
+        mats = {g: [list(r) for r in m] for g, m in tau.items()}
+        if not linalg.mat_eq(mats[0], linalg.mat_identity(len(mats[0]))):
+            raise CherednikError("tau matrices do not form a representation")
+        for g, s, gs in grp.cayley_edges():
+            if not linalg.mat_eq(linalg.mat_mul(mats[g], mats[s]), mats[gs]):
+                raise CherednikError("tau matrices do not form a representation")
 
     # -- vector helpers -------------------------------------------------
 

@@ -98,8 +98,13 @@ class ParamPoly:
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity, terms=None):
+        if terms is None:
+            terms = {}
+        for e in terms:
+            if len(e) != arity:
+                raise ArityError("exponent vector %r has arity %d, expected %d" % (e, len(e), arity))
         self.arity = arity
-        self.terms = terms if terms is not None else {}
+        self.terms = terms
 
     # -- constructors ------------------------------------------------
 

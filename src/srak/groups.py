@@ -48,9 +48,10 @@ class FiniteSymplecticGroup:
     """A finite group of exact rational symplectic matrices.
 
     ``mats[i]`` is the matrix of element i; index 0 is the identity.
-    ``table[i][j]`` is the index of mats[i] @ mats[j].  ``h_dim`` is set
-    when the group was produced by doubling an action on h onto h ⊕ h*
-    (x-coordinates first, then y-coordinates).
+    ``table[i][j]`` is the index of mats[i] @ mats[j].  ``generator_ids``
+    generate the group (a reindexed subgroup lists every non-identity
+    element).  ``h_dim`` is set when the group was produced by doubling
+    an action on h onto h ⊕ h* (x-coordinates first, then y-coordinates).
     """
 
     def __init__(self, dim, omega, mats, table, inv, classes, generator_ids, h_dim=None, gen_names=None):
@@ -99,6 +100,20 @@ class FiniteSymplecticGroup:
     def omega_eval(self, x, y):
         n = self.dim
         return sum((x[i] * self.omega[i][j] * y[j] for i in range(n) for j in range(n)), R0)
+
+    def cayley_edges(self):
+        """The triples (g, s, g s) for every element g and generator s.
+
+        A map w on the group with w(e) = 1 and w(g) w(s) = w(g s) on every
+        edge is a homomorphism.  Proof: W is finite, so every h is a
+        positive word s_1 ... s_m in the generators (s^-1 = s^(ord s - 1)).
+        By induction on m, w(g) w(h) = w(g h) for every g: m = 0 is
+        w(e) = 1; for h = h' s, w(g) w(h' s) = w(g) w(h') w(s) =
+        w(g h') w(s) = w(g h' s), by the edge at (h', s), the induction
+        hypothesis and the edge at (g h', s).  So |G| * |S| products
+        replace the |G|^2 of the full group law.
+        """
+        return [(g, s, self.table[g][s]) for g in range(self.order) for s in self.generator_ids]
 
     def element_order(self, i):
         k, g = 1, i
@@ -275,7 +290,7 @@ def subgroup_group(G, ids):
         for x in orbit:
             seen[x] = True
         classes.append(tuple(sorted(orbit)))
-    sub = FiniteSymplecticGroup(G.dim, G.omega, mats, table, inv, classes, [], h_dim=G.h_dim)
+    sub = FiniteSymplecticGroup(G.dim, G.omega, mats, table, inv, classes, list(range(1, k)), h_dim=G.h_dim)
     return sub, order
 
 

@@ -948,17 +948,19 @@ def satake_corner_check(alg, basis, d, c_values=None):
         tr.add(v)
     injective = tr.rank == len(basis)
 
-    # corner dimension: span of e * (monomial x group) * e up to degree d
+    # corner dimension: span of e * (monomial x group) * e up to degree d.
+    # g e = e, and multiply right-multiplies by a group element by
+    # relabeling alone, so e (m g) e = e m e for every g under any kappa:
+    # one corner per monomial spans the same space
     slots2 = {}
     corner_vecs = []
     for deg in range(d + 1):
         for m in combinations_with_replacement(range(alg.nv), deg):
-            for g in range(alg.group.order):
-                z = SRAElement(alg, {(m, g): ParamPoly.one(alg.nparams)})
-                w = spherical_corner(alg, z).specialize(t=R0)
-                if c_values is not None:
-                    w = w.specialize(c=c_values)
-                corner_vecs.append(_flatten(alg, w, slots2))
+            z = SRAElement(alg, {(m, 0): ParamPoly.one(alg.nparams)})
+            w = spherical_corner(alg, z).specialize(t=R0)
+            if c_values is not None:
+                w = w.specialize(c=c_values)
+            corner_vecs.append(_flatten(alg, w, slots2))
     width2 = len(slots2)
     tr2 = linalg.RankTracker(width2)
     for v in corner_vecs:

@@ -21,6 +21,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 S2_SPEC = {"builtin": {"type": "symmetric", "n": 2, "rep": "reflection"}, "gen_names": ["s"]}
 S3_SPEC = {"builtin": {"type": "symmetric", "n": 3, "rep": "reflection"}, "gen_names": ["s1", "s2"]}
+S4_SPEC = {"builtin": {"type": "symmetric", "n": 4, "rep": "reflection"}}
 WEYL_SPEC = {"dim_h": 1, "generators_on_h": []}
 
 
@@ -55,6 +56,11 @@ def ch3():
 
 
 @pytest.fixture(scope="session")
+def ch4():
+    return CH.build_cherednik(S4_SPEC)
+
+
+@pytest.fixture(scope="session")
 def omega_alg2(g2, rd2):
     return S.SRAlgebra.omega_form(g2, rd2)
 
@@ -78,6 +84,56 @@ def dense_product(a, b):
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def tampered_iso(ch, spec, b, order):
+    """Completion isomorphism at b of a build of ``spec`` whose form of the
+    first reflection fixing b is sign-flipped, with mu from ``ch``, the
+    untampered build."""
+    from srak import completion as CP
+    from srak.selftest import tampered_cherednik
+
+    sub = set(G.stabilizer(ch.group, tuple(b) + (R0,) * len(b)))
+    s_star = next(s for s in ch.rdata.reflections if s in sub)
+    bad_ch, _ = tampered_cherednik(spec, s_star)
+    return CP.completion_iso_with_mu(bad_ch, b, order, CH.convention_solve(ch))
+
+
+def exhaustive_relations(iso):
+    """Reference verdicts of the completion relations, group part on every
+    element: the group law on all |G|^2 pairs (with no separate check of
+    w_e, so w = 0 passes it) and conjugation by every w_g.  Returns
+    {relation name: pass}."""
+    from srak import completion as CP
+
+    ch, grp, n, order = iso.ch, iso.ch.group, iso.ch.h_dim, iso.order - 1
+    X, Y, W = iso.x_images, iso.y_images, iso.w_images
+    names = ("group_multiplicativity", "w_x_conjugation", "w_y_conjugation", "x_commute", "y_commute", "y_x_commutator")
+    verdicts = dict.fromkeys(names, True)
+
+    def record(name, a, b):
+        verdicts[name] = verdicts[name] and CP._matrices_agree(a, b, order)[0]
+
+    def combination(images, block, j):
+        out = iso.ctx.zero()
+        for l in range(n):
+            if block[l][j]:
+                out = out + CP._scale_matrix(images[l], ParamPoly.const(ch.nparams, block[l][j]))
+        return out
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            record("x_commute", X[i] * X[j], X[j] * X[i])
+            record("y_commute", Y[i] * Y[j], Y[j] * Y[i])
+        for j in range(n):
+            record("y_x_commutator", Y[i] * X[j] - X[j] * Y[i], CP._pairing_rhs_matrix(iso, i, j))
+    for g in range(grp.order):
+        for j in range(n):
+            record("w_x_conjugation", W[g] * X[j] * W[grp.inv[g]], combination(X, grp.hstar_block(g), j))
+            record("w_y_conjugation", W[g] * Y[j] * W[grp.inv[g]], combination(Y, grp.h_block(g), j))
+        for h in range(grp.order):
+            record("group_multiplicativity", W[g] * W[h], W[grp.mul(g, h)])
+    return verdicts
 
 
 def pairwise_gram(ch, d, c_values=None, tau=None, duals=None):

@@ -17,7 +17,7 @@ from srak import sra as S
 from srak.coeffs import R0, R1, parse_rational, rat
 from srak.selftest import associativity_suite, tampered_cherednik
 
-from conftest import S3_SPEC
+from conftest import S3_SPEC, S4_SPEC, tampered_iso
 
 
 LINES = []
@@ -265,4 +265,14 @@ def test_criterion_12_mutation_sensitivity(ch3):
     iso = CP.completion_iso_with_mu(bad_ch, b, 3, rat(-2))
     rep = CP.verify_homomorphism(iso)
     ok = ok and not rep["all_pass"]
+    cr.finish(ok)
+
+
+def test_criterion_13_completion_isomorphism_s4_s5(ch4):
+    cr = Criterion(13, "completion isomorphism on S4 at order 4 and S5 at order 2; tampered S4 fails", 60)
+    b4 = [R1, rat(-1), rat(2)]
+    ok = CP.verify_homomorphism(CP.completion_iso(ch4, b4, 4))["all_pass"]
+    ch5 = CH.build_cherednik({"builtin": {"type": "symmetric", "n": 5, "rep": "reflection"}})
+    ok = ok and CP.verify_homomorphism(CP.completion_iso(ch5, [R1, rat(-1), rat(2), R0], 2))["all_pass"]
+    ok = ok and not CP.verify_homomorphism(tampered_iso(ch4, S4_SPEC, b4, 3))["all_pass"]
     cr.finish(ok)

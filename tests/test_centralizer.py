@@ -217,6 +217,26 @@ def test_corner_recover_rejects_bad_images(g2):
         C.corner_recover(ctx, iota_group, bad_e, lambda a, b: a * b, lambda a, b: a == b, ctx.one())
 
 
+def test_corner_recover_rejects_swapped_and_zero_images(g3):
+    sub = s2_in_s3(g3)
+    ctx = C.build_centralizer(g3, sub, C.GroupAlgebraCoefficients(g3, sub))
+    iota_group = {g: C.embed_group(ctx, g) for g in range(6)}
+    iota_e = C.idempotent(ctx, 0)
+
+    def recover(images, e):
+        return C.corner_recover(ctx, images, e, lambda a, b: a * b, lambda a, b: a == b, ctx.one())
+
+    recover(iota_group, iota_e)
+    g, h = [x for x in range(1, 6) if x not in g3.generator_ids][:2]
+    swapped = dict(iota_group)
+    swapped[g], swapped[h] = iota_group[h], iota_group[g]
+    with pytest.raises(C.CentralizerError):
+        recover(swapped, iota_e)
+    # the zero map passes the group law pair by pair, but not as a unit
+    with pytest.raises(C.CentralizerError):
+        recover({x: ctx.zero() for x in range(6)}, ctx.zero())
+
+
 def test_recovery_maps_mutually_inverse(g3):
     # the two maps of the recovery lemma, on a spanning set of B e
     sub = s2_in_s3(g3)

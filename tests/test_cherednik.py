@@ -392,3 +392,15 @@ def test_tau_representation_validation(ch2):
     bad = {0: [[R1]], 1: [[rat(2)]]}
     with pytest.raises(CH.CherednikError):
         CH.StandardModule(ch2, tau=bad)
+
+
+def test_tau_validation_refuses_the_zero_map(ch3):
+    # tau = 0 satisfies tau(g) tau(h) = tau(gh) but is no representation
+    with pytest.raises(CH.CherednikError):
+        CH.StandardModule(ch3, tau={g: ((0,),) for g in range(ch3.group.order)})
+    sign = {g: ((R1 if ch3.group.element_order(g) != 2 else rat(-1),),) for g in range(6)}
+    CH.StandardModule(ch3, tau=sign)
+    swapped = dict(sign)
+    swapped[0], swapped[1] = sign[1], sign[0]
+    with pytest.raises(CH.CherednikError):
+        CH.StandardModule(ch3, tau=swapped)

@@ -68,6 +68,15 @@ def test_arity_mismatch_errors():
         ParamPoly.monomial(2, (1, 0, 0), R1)
 
 
+def test_raw_constructor_checks_exponent_length():
+    # a short key used to be truncated by mmul's zip: t * c1 came out as t
+    with pytest.raises(ArityError):
+        ParamPoly(2, {(1,): 1}) * ParamPoly.var(2, 1)
+    with pytest.raises(ArityError):
+        ParamPoly(2, {(1, 0, 0): 1})
+    assert ParamPoly(2, {(1, 0): 1}) * ParamPoly.var(2, 1) == ParamPoly.monomial(2, (1, 1), R1)
+
+
 def test_div_t_examples():
     t = ParamPoly.var(2, 0)
     c1 = ParamPoly.var(2, 1)

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from srak import centralizer as C
@@ -6,9 +8,9 @@ from srak import completion as CP
 from srak import groups as G
 from srak import sra as S
 from srak.coeffs import ParamPoly, R0, R1, rat
-from srak.selftest import tampered_cherednik
+from srak.selftest import tampered_cherednik, tampered_s3
 
-from conftest import S3_SPEC, dense_product
+from conftest import S3_SPEC, S4_SPEC, WEYL_SPEC, dense_product, exhaustive_relations, tampered_iso
 
 
 def test_recenter_identity(ch2):
@@ -306,7 +308,8 @@ def test_sparse_product_exact_and_truncated_zeros(ch3):
 
 def test_verify_product_count(ch3, monkeypatch):
     # a count, not a time: it repeats exactly, so a return to dense
-    # coset-matrix products (2592 here) shows without host noise
+    # coset-matrix products (2592 here) or to the |G|^2 group law (528)
+    # shows without host noise
     iso = CP.completion_iso(ch3, [rat(2), rat(1)], 4)
     mul = CP.TElt.__mul__
     calls = []
@@ -321,4 +324,106 @@ def test_verify_product_count(ch3, monkeypatch):
         calls.clear()
         assert CP.verify_homomorphism(iso)["all_pass"]
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 528
+    assert counts[0] == counts[1] == 264
+
+
+def test_verify_matrix_product_count_s4(ch4, monkeypatch):
+    # n = 3 and |S| = 3: 24 * 3 Cayley edges, 3 * 3 * 4 conjugation
+    # products, 3 * 4 commute and 9 * 2 commutator products, whatever k is
+    mul = C.CentralizerElement.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    isos = [CP.completion_iso(ch4, b, 2) for b in ([rat(2), R1, R1], [R1, rat(-1), rat(2)], [R1, rat(2), R1])]
+    monkeypatch.setattr(C.CentralizerElement, "__mul__", counted)
+    for iso in isos:
+        calls.clear()
+        assert CP.verify_homomorphism(iso)["all_pass"]
+        assert len(calls) == 138
+
+
+CONJUGATION = ("w_x_conjugation", "w_y_conjugation")
+COORDINATE_RELATIONS = ("x_commute", "y_commute", "y_x_commutator")
+
+
+def assert_matches_exhaustive(iso):
+    """verify_homomorphism against the |G|^2 reference: the same verdicts
+    on the coordinate relations; when w_e = 1, the same group-law verdict
+    and the same overall verdict; when the group law passes, the same
+    conjugation verdicts.  Returns (verdicts, reference verdicts)."""
+    rep = CP.verify_homomorphism(iso)
+    got = {k: v["pass"] for k, v in rep["relations"].items()}
+    ref = exhaustive_relations(iso)
+    assert set(got) == set(ref)
+    for name in COORDINATE_RELATIONS:
+        assert got[name] == ref[name], name
+    if CP._matrices_agree(iso.w_images[0], iso.ctx.one(), None)[0]:
+        assert got["group_multiplicativity"] == ref["group_multiplicativity"]
+        assert rep["all_pass"] == all(ref.values())
+    if got["group_multiplicativity"]:
+        for name in CONJUGATION:
+            assert got[name] == ref[name], name
+    if rep["all_pass"]:
+        assert all(v["first_failure"] is None for v in rep["relations"].values())
+    return got, ref
+
+
+def test_generator_check_matches_exhaustive(ch2, ch3, ch4):
+    for ch, b, order in [
+        (ch2, [R1], 5),
+        (ch3, [rat(2), R1], 4),
+        (ch4, [rat(2), R1, R1], 3),
+        (ch4, [R1, rat(-1), rat(2)], 3),
+    ]:
+        got, ref = assert_matches_exhaustive(CP.completion_iso(ch, b, order))
+        assert all(got.values()) and all(ref.values())
+    # the trivial group has no generators; every relation is still reported
+    weyl = CH.build_cherednik(WEYL_SPEC)
+    got, ref = assert_matches_exhaustive(CP.completion_iso_with_mu(weyl, [R1], 3, rat(-2)))
+    assert all(got.values()) and all(ref.values())
+
+
+def test_generator_check_matches_exhaustive_on_tampered_builds(ch4):
+    bad_ch, _, b = tampered_s3()
+    got, _ = assert_matches_exhaustive(CP.completion_iso_with_mu(bad_ch, b, 3, rat(-2)))
+    assert not all(got.values())
+    got, _ = assert_matches_exhaustive(tampered_iso(ch4, S4_SPEC, [R1, rat(-1), rat(2)], 3))
+    assert not got["y_commute"] and not got["y_x_commutator"]
+
+
+def _mutant(iso, w_images=None, y_images=None):
+    out = copy.copy(iso)
+    out.w_images = dict(iso.w_images) if w_images is None else w_images
+    out.y_images = list(iso.y_images) if y_images is None else y_images
+    return out
+
+
+def test_generator_check_refuses_mutants(ch3):
+    iso = CP.completion_iso(ch3, [rat(2), R1], 3)
+    grp = ch3.group
+    g, h = [x for x in range(1, grp.order) if x not in grp.generator_ids][:2]
+
+    swapped = _mutant(iso)
+    swapped.w_images[g], swapped.w_images[h] = iso.w_images[h], iso.w_images[g]
+    got, ref = assert_matches_exhaustive(swapped)
+    assert not got["group_multiplicativity"] and not ref["group_multiplicativity"]
+
+    wrong_unit = _mutant(iso)
+    wrong_unit.w_images[0] = iso.w_images[g]
+    got, ref = assert_matches_exhaustive(wrong_unit)
+    assert not got["group_multiplicativity"] and not ref["group_multiplicativity"]
+
+    rows = [list(row) for row in iso.y_images[0].mat]
+    rows[0][0] = rows[0][0] + iso.talg.one()
+    skewed = _mutant(iso, y_images=[iso.ctx.from_matrix(rows)] + iso.y_images[1:])
+    got, ref = assert_matches_exhaustive(skewed)
+    assert got["group_multiplicativity"] and not got["w_y_conjugation"] and not ref["w_y_conjugation"]
+
+    # w = 0 satisfies w_g w_h = w_gh for every pair, but it is no
+    # homomorphism: the reference's group law passes it, this one does not
+    zero = _mutant(iso, w_images={x: iso.ctx.zero() for x in range(grp.order)})
+    got, ref = assert_matches_exhaustive(zero)
+    assert ref["group_multiplicativity"] and not got["group_multiplicativity"]
