@@ -27,12 +27,13 @@ finite-dimensional simple quotients.
 """
 
 from itertools import combinations_with_replacement
+from math import lcm
 
 from . import groups as G
 from . import linalg
 from .coeffs import ParamPoly, R0, R1, exact, parse_rational, rat, rat_str
 from .coeffs import _kernel as K
-from .sra import SRAElement, SRAlgebra
+from .sra import SRAElement, SRAlgebra, pack_key, unpack_key
 
 MODULE_LOWERING_SIGN = -1
 
@@ -258,6 +259,9 @@ class StandardModule:
         grp = self.ch.group
         if set(tau) != set(range(grp.order)):
             raise CherednikError("tau must supply a matrix for every group element")
+        size = len(tau[0])
+        if not size or any(len(m) != size or any(len(row) != size for row in m) for m in tau.values()):
+            raise CherednikError("tau matrices must be square, nonempty and all of one size")
         # tau(e) = 1 plus the Cayley edges is the whole group law
         # (FiniteSymplecticGroup.cayley_edges); it refuses tau = 0
         mats = {g: [list(r) for r in m] for g, m in tau.items()}
@@ -479,8 +483,9 @@ def determinant_character(ch):
     return {g: ((linalg.mat_det([list(r) for r in ch.group.h_block(g)]),),) for g in range(ch.group.order)}
 
 
-def gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
-    """Pairing matrices B_d(f, g) = (f(D) g)(0) for d = 0..cutoff at t = 1.
+def packed_gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
+    """Pairing matrices B_d(f, g) = (f(D) g)(0) for d = 0..cutoff at t = 1,
+    with packed Z[c] entries.
 
     One pass by degree recursion (the contravariant form of Dunkl, de
     Jeu and Opdam, 1994): peel the lowest index i with f_i > 0, so that
@@ -492,16 +497,23 @@ def gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
     then D_1, ..., and peeling the lowest index keeps exactly that order,
     so every entry equals the per-pair definition even where the D's fail
     to commute.  A degree costs n * dim_d lowering applications (one per
-    coordinate and column) instead of d * dim_d^2, plus about
-    dim_d^2 * dim_{d-1} parameter-polynomial products; only the previous
+    coordinate and column) instead of d * dim_d^2; only the previous
     degree's matrix and monomial index are kept while building.
+
+    Each coefficient of D_i g is read at t = 1 (and at ``c_values``,
+    which may name the first few orbits) straight into a packed map: one
+    int key per c-monomial (``sra.pack_key``: the exponent of orbit o in
+    bits [PACK_BITS*o, PACK_BITS*(o+1))), so a one-orbit key is the
+    exponent of c itself.  Values are ints where integral (every
+    value on S_n) and ``Fraction`` otherwise.  Each entry accumulates
+    through ``coeffs._kernel.emap_addmul``; specializing before the
+    products gives the same values, as specialization is a ring
+    homomorphism.
 
     ``duals`` lists the y-coordinate vectors substituted for x_0..x_{n-1};
     None means the dual basis vectors (``StandardModule.lowering_basis``).
-    The coefficients of D_i g are specialized at t = 1 (and at
-    ``c_values``) before multiplying, which gives the same values since
-    specialization is a ring homomorphism.  Returns a list of
-    (monomials, rows) per degree; see ``contravariant_gram``.
+    Returns a list of (monomials, rows) per degree, with each row a
+    sparse map {column: packed polynomial} that omits zero entries.
     """
     if cutoff < 0:
         raise CherednikError("the pairing degree must be non-negative, got %d" % cutoff)
@@ -509,17 +521,13 @@ def gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
     if mod.tau_dim != 1:
         raise CherednikError("the pairing matrix is implemented for one-dimensional lowest weights")
     n = ch.h_dim
-    spec = {0: R1}
-    if c_values is not None:
-        for i, v in enumerate(c_values):
-            spec[i + 1] = exact(v)
-    zero = ParamPoly.zero(ch.nparams)
+    fixed = dict(enumerate(exact(v) for v in c_values or ()))
     prev_index = {(0,) * n: 0}
-    prev_rows = [[ParamPoly.one(ch.nparams).specialize(spec)]]
+    prev_rows = [{0: {0: 1}}]
     tower = [([(0,) * n], prev_rows)]
     for d in range(1, cutoff + 1):
         monos = _monomials(n, d)
-        # lowered[i][k]: D_i of the k-th monomial as (previous index, value) pairs
+        # lowered[i][k]: D_i of the k-th monomial as (previous index, packed value) pairs
         lowered = []
         for i in range(n):
             cols = []
@@ -528,7 +536,7 @@ def gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
                 vec = mod.lowering_basis(i, vec) if duals is None else mod.lowering(duals[i], vec)
                 col = []
                 for (e, _), p in vec.items():
-                    val = p.specialize(spec)
+                    val = _packed_at_t1(p, fixed)
                     if val:
                         col.append((prev_index[e], val))
                 cols.append(col)
@@ -537,18 +545,50 @@ def gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
         for f in monos:
             i = next(j for j, k in enumerate(f) if k)
             prev_row = prev_rows[prev_index[_shift(f, i, -1)]]
-            row = []
-            for col in lowered[i]:
-                acc = zero
+            row = {}
+            # every lowered coefficient has c-degree <= 1, so a degree-d
+            # entry has exponents <= d and no packed field carries
+            for j, col in enumerate(lowered[i]):
                 for h, val in col:
-                    if prev_row[h]:
-                        acc = acc + prev_row[h] * val
-                row.append(acc)
+                    if h in prev_row:
+                        K.emap_addmul(row, j, prev_row[h], val, 1)
             rows.append(row)
         tower.append((monos, rows))
         prev_index = {e: k for k, e in enumerate(monos)}
         prev_rows = rows
     return tower
+
+
+def _packed_at_t1(p, fixed):
+    """A parameter polynomial at t = 1 and at the orbit values ``fixed``
+    ({orbit: value}) as a packed map; integral values become ints."""
+    out = {}
+    for e, a in p.terms.items():
+        free = list(e[1:])
+        for o, v in fixed.items():
+            if free[o]:
+                a = a * v ** free[o]
+                free[o] = 0
+        key = pack_key(free)
+        out[key] = out.get(key, 0) + a
+    return {key: (a.numerator if a.denominator == 1 else a) for key, a in out.items() if a}
+
+
+def _unpacked(m, nparams):
+    """A packed map at t = 1 as a ``ParamPoly`` with ``Fraction`` values."""
+    return ParamPoly(nparams, {(0,) + unpack_key(key, nparams - 1): exact(a) for key, a in m.items()})
+
+
+def gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
+    """``packed_gram_tower`` with its entries converted once to parameter
+    polynomials: a list of (monomials, rows) per degree, rows dense, each
+    entry a ``ParamPoly`` at t = 1 (constant where ``c_values`` names every
+    orbit); see ``contravariant_gram``."""
+    out = []
+    for monos, rows in packed_gram_tower(ch, cutoff, c_values=c_values, tau=tau, duals=duals):
+        dense = [[_unpacked(row.get(j, {}), ch.nparams) for j in range(len(monos))] for row in rows]
+        out.append((monos, dense))
+    return out
 
 
 def contravariant_gram(ch, d, c_values=None, tau=None):
@@ -635,32 +675,59 @@ def _rank_profile_verdict(ranks, cutoff):
 
 
 def scan_grams(ch, cutoff):
-    """Symbolic pairing matrices for both one-dimensional lowest weights
+    """Packed pairing towers for both one-dimensional lowest weights
     (trivial and determinant), reusable across parameter values.
 
-    One ``gram_tower`` per weight builds every degree up to the cutoff by
-    the lowest-index recursion, at n * dim_d lowering applications per
-    degree d (88 per weight for S3 at cutoff 8, against 1740 pair by pair).
+    One ``packed_gram_tower`` per weight builds every degree up to the
+    cutoff by the lowest-index recursion, at n * dim_d lowering
+    applications per degree d (88 per weight for S3 at cutoff 8, against
+    1740 pair by pair).  Each weight maps to its list of degree-d
+    matrices, kept as they are: sparse rows of packed Z[c] entries.
     """
     return {
-        "trivial": [rows for _, rows in gram_tower(ch, cutoff)],
-        "determinant": [rows for _, rows in gram_tower(ch, cutoff, tau=determinant_character(ch))],
+        "trivial": [rows for _, rows in packed_gram_tower(ch, cutoff)],
+        "determinant": [rows for _, rows in packed_gram_tower(ch, cutoff, tau=determinant_character(ch))],
     }
 
 
+def _integer_matrix(rows, p, q):
+    """The int matrix L * q^D * B(p/q) of a square one-orbit packed matrix
+    (keys are exponents of c): D is its largest c-degree and L the least
+    common multiple of its value denominators, so entry sum_k a_k c^k
+    becomes sum_k L a_k p^k q^(D-k)."""
+    entries = [e for row in rows for e in row.values()]
+    top = max((k for e in entries for k in e), default=0)
+    fractions = [a for e in entries for a in e.values() if type(a) is not int]
+    den = lcm(*(a.denominator for a in fractions))
+    weights = [den * p**k * q ** (top - k) for k in range(top + 1)]
+    out = []
+    for row in rows:
+        line = [0] * len(rows)
+        for j, e in row.items():
+            line[j] = sum(a * weights[k] for k, a in e.items())
+        out.append(line)
+    if fractions:
+        # each sum is a Fraction with denominator 1
+        out = [[int(x) for x in line] for line in out]
+    return out
+
+
 def scan_one(grams, cutoff, cval):
-    """Per-parameter verdict from precomputed symbolic pairing matrices.
+    """Per-parameter verdict from the packed towers of ``scan_grams``.
+
+    For c = p/q each degree-d matrix gives one int matrix L * q^D *
+    B_d(p/q) (``_integer_matrix``); a nonzero scale keeps the rank, which
+    ``linalg.integer_rank`` takes by fraction-free elimination.  No
+    parameter polynomial or ``Fraction`` matrix is built per value.
 
     A finite-dimensional quotient on either one-dimensional lowest
     weight certifies the algebra-level verdict "finite"; the reported
     dimension is the collapsing module's.
     """
+    p, q = cval.numerator, cval.denominator
     profiles = {}
     for name, gs in grams.items():
-        ranks = []
-        for d in range(cutoff + 1):
-            rows = [[p.specialize({1: cval}) for p in row] for row in gs[d]]
-            ranks.append(gram_rank(rows))
+        ranks = [linalg.integer_rank(_integer_matrix(gs[d], p, q)) for d in range(cutoff + 1)]
         profiles[name] = _rank_profile_verdict(ranks, cutoff)
     finite = [name for name, pr in profiles.items() if pr["verdict"] == "finite"]
     if finite:

@@ -12,12 +12,13 @@ falsy).  Results never alias their inputs; only ``maxpy``,
 Two convolutions: ``mmul`` adds exponent tuples componentwise, for
 ``ParamPoly`` products and ``cherednik.StandardModule.act_poly``;
 ``pmul`` and the fused ``emap_addmul`` take packed int keys, whose sum is
-the product monomial, and serve only the PBW rewriting core
+the product monomial, and serve the PBW rewriting core
 (``SRAlgebra._word_normal`` and ``multiply``), which packs exponent
-vectors and guards the fields against carries (see ``sra``).
+vectors and guards the fields against carries (see ``sra``), and the
+Z[c] pairing entries of ``cherednik.packed_gram_tower``.
 
 Callers: ``ParamPoly`` arithmetic, PBW normal ordering (``sra``), the
-Dunkl module vectors (``cherednik.StandardModule``), group-algebra
+Dunkl module vectors and pairing matrices (``cherednik``), group-algebra
 coefficients (``centralizer.GroupAlgebraCoefficients``) and the sparse
 rows of the elimination (``linalg.RankTracker``).  Two loops stay outside
 on purpose: ``SRAlgebra._gexpand``, the PBW hot loop, where building a

@@ -66,6 +66,7 @@ class FiniteSymplecticGroup:
         self.gen_names = gen_names
         self.index = {m: i for i, m in enumerate(mats)}
         self._omega_inv = None
+        self._sort_keys = None
 
     @property
     def order(self):
@@ -73,6 +74,14 @@ class FiniteSymplecticGroup:
 
     def mul(self, i, j):
         return self.table[i][j]
+
+    @property
+    def sort_keys(self):
+        """``mat_key`` of every element's matrix, by element index; computed
+        on first use, once per group."""
+        if self._sort_keys is None:
+            self._sort_keys = tuple(mat_key(m) for m in self.mats)
+        return self._sort_keys
 
     def inverse(self, i):
         return self.inv[i]

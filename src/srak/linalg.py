@@ -4,7 +4,9 @@ One elimination routine, ``RankTracker``, does every row reduction.  It
 keeps its rows sparse (``{column: value}``) and fully reduced; a row's
 pivot is its lowest nonzero column and rows are taken in input order, so
 identical inputs give identical outputs.  The reduced row-echelon form is
-unique, so ``rref`` equals dense Gauss-Jordan elimination.
+unique, so ``rref`` equals dense Gauss-Jordan elimination.  The one
+exception is ``integer_rank``, the rank of an int matrix by fraction-free
+elimination, which the pairing scans take once per parameter value.
 """
 
 from .coeffs import R0, R1, rat
@@ -53,6 +55,9 @@ def mat_scale(a, s):
 
 
 def mat_eq(a, b):
+    """Entrywise equality; matrices of different shapes are unequal."""
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        return False
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
@@ -68,6 +73,41 @@ def rref(rows, ncols):
 
 def rank(rows, ncols):
     return len(rref(rows, ncols)[1])
+
+
+def integer_rank(rows):
+    """Rank of a matrix of ints by fraction-free elimination (Bareiss,
+    *Math. Comp.* 1968), without making a ``Fraction``.
+
+    Each step takes as pivot the leftmost nonzero column c of the rows
+    left, a row r0 with a = r0[c] != 0 in it, and replaces every other row
+    r by (a*r - r[c]*r0) / prev over the columns after c, prev being the
+    pivot of the step before (1 at the first).  The division is exact:
+    after k steps each entry is a (k+1)-minor of the input and prev a
+    k-minor (Sylvester's identity), so the entries grow no larger than
+    the minors.  Rows that become zero are dropped.
+    """
+    work = [list(r) for r in rows if any(r)]
+    rank, prev = 0, 1
+    while work:
+        c = min(next(j for j, x in enumerate(r) if x) for r in work)
+        k = next(i for i, r in enumerate(work) if r[c])
+        top = work[k][c + 1 :]
+        a = work[k][c]
+        nxt = []
+        for i, r in enumerate(work):
+            if i == k:
+                continue
+            b = r[c]
+            if b:
+                new = [(a * x - b * y) // prev for x, y in zip(r[c + 1 :], top)]
+            else:
+                new = [a * x // prev for x in r[c + 1 :]]
+            if any(new):
+                nxt.append(new)
+        work, prev = nxt, a
+        rank += 1
+    return rank
 
 
 def nullspace(rows, ncols):

@@ -62,6 +62,19 @@ PACK_BITS = 32
 _FIELD = 1 << PACK_BITS
 
 
+def pack_key(e):
+    """The packed key of an exponent vector (no field check)."""
+    key = 0
+    for p, k in enumerate(e):
+        key |= k << (PACK_BITS * p)
+    return key
+
+
+def unpack_key(key, nvars):
+    """The exponent tuple of a packed key in ``nvars`` variables."""
+    return tuple((key >> (PACK_BITS * p)) & (_FIELD - 1) for p in range(nvars))
+
+
 class AlgebraError(ValueError):
     pass
 
@@ -246,11 +259,10 @@ class SRAlgebra:
             top = max(check_exponents(self.nparams, e), default=0)
             if top >= _FIELD:
                 raise AlgebraError("parameter exponent %d reaches 2^%d" % (top, PACK_BITS))
-            key, w = 0, 1
-            for p, (d, k) in enumerate(zip(self.scales, e)):
-                key |= k << (PACK_BITS * p)
+            w = 1
+            for d, k in zip(self.scales, e):
                 w *= d**k
-            hit = self._packs[e] = (key, w, top)
+            hit = self._packs[e] = (pack_key(e), w, top)
         return hit
 
     def _to_u(self, terms):
@@ -275,7 +287,7 @@ class SRAlgebra:
         for key, c in terms.items():
             hit = unpacks.get(key)
             if hit is None:
-                e = tuple((key >> (PACK_BITS * p)) & (_FIELD - 1) for p in range(self.nparams))
+                e = unpack_key(key, self.nparams)
                 hit = unpacks[key] = (e, self._pack(e)[1])
             e, w = hit
             if type(c) is int:
@@ -546,14 +558,9 @@ class SRAElement:
 
     def sorted_terms(self):
         """Canonical order: graded-lex on the monomial, then the group
-        element's canonical matrix key."""
-        from .groups import mat_key
-
-        mats = self.algebra.group.mats
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (len(kv[0][0]), kv[0][0], mat_key(mats[kv[0][1]])),
-        )
+        element's canonical matrix key (``groups.mat_key``)."""
+        keys = self.algebra.group.sort_keys
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0][0]), kv[0][0], keys[kv[0][1]]))
 
     def to_str(self):
         if not self.terms:

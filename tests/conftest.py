@@ -162,6 +162,40 @@ def pairwise_gram(ch, d, c_values=None, tau=None, duals=None):
     return monos, rows
 
 
+def reference_scan(ch, c_values, cutoff):
+    """Reference scan, one value at a time: both symbolic towers as
+    ``ParamPoly`` matrices (``gram_tower``), then for each c every entry
+    specialized (``ParamPoly.specialize``) and every matrix ranked over
+    ``Fraction`` (``linalg.rank``); the verdicts combine as in
+    ``cherednik.scan_one``."""
+    from srak import linalg
+
+    towers = {"trivial": CH.gram_tower(ch, cutoff),
+              "determinant": CH.gram_tower(ch, cutoff, tau=CH.determinant_character(ch))}
+    out = []
+    for c in c_values:
+        cval = Fraction(c)
+        profiles = {}
+        for name, tower in towers.items():
+            ranks = []
+            for monos, rows in tower:
+                num = [[p.specialize({1: cval}).const_value() for p in row] for row in rows]
+                ranks.append(linalg.rank(num, len(monos)))
+            profiles[name] = CH._rank_profile_verdict(ranks, cutoff)
+        finite = [name for name, pr in profiles.items() if pr["verdict"] == "finite"]
+        if finite:
+            rec = {"verdict": "finite", "dim": profiles[finite[0]]["dim"], "witness_weight": finite[0]}
+        elif all(pr["verdict"] == "infinite" for pr in profiles.values()):
+            rec = {"verdict": "infinite", "witness_degree": cutoff}
+        else:
+            rec = {"verdict": "inconclusive"}
+        rec["ranks"] = profiles["trivial"]["ranks"]
+        rec["profiles"] = {name: pr["ranks"] for name, pr in profiles.items()}
+        rec["c"] = str(cval)
+        out.append(rec)
+    return out
+
+
 def dense_rref(rows, ncols):
     """Reference reduced row-echelon form by dense Gauss-Jordan elimination:
     for each column in turn, the first remaining row with a nonzero entry

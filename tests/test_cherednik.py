@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from srak import groups as G
 from srak.coeffs import ParamPoly, R0, R1, parse_rational, rat
 from srak.selftest import tampered_cherednik
 
-from conftest import S3_SPEC, WEYL_SPEC, pairwise_gram
+from conftest import S3_SPEC, WEYL_SPEC, pairwise_gram, reference_scan
 
 
 def test_build_rank_one(ch2):
@@ -328,6 +329,73 @@ def test_scan_n3(ch3):
     assert scan[2]["verdict"] != "finite"
 
 
+# the c-list pool of the S3 scan benchmark: +-p/q for p <= 8, q <= 6
+S3_SCAN_POOL = sorted({Fraction(s * p, q) for s in (1, -1) for p in range(1, 9) for q in range(1, 7)})
+
+
+@pytest.mark.parametrize(
+    "n, cutoff, cs",
+    [
+        (2, 8, ["1/2", "-1/2", "3/2", "-3/2", "5/2", "-5/2", "7/2", "-7/2", "0", "1", "-2", "1/3", "-3/4", "9/2"]),
+        (3, 8, S3_SCAN_POOL),
+        (4, 5, ["1/4", "-1/3", "1/2", "3/4", "2/5"]),
+    ],
+)
+def test_scan_matches_per_value_reference(request, n, cutoff, cs):
+    # one integer matrix per c against specializing every entry and
+    # ranking over Fraction: profiles on both weights and verdicts agree
+    ch = request.getfixturevalue("ch%d" % n)
+    if n == 3:
+        assert len(cs) == 64
+    assert CH.finite_dim_scan(ch, cs, cutoff) == reference_scan(ch, cs, cutoff)
+
+
+def test_scan_values_build_no_param_poly(ch3, monkeypatch):
+    grams = CH.scan_grams(ch3, 8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parameter polynomial was built for one c")
+
+    monkeypatch.setattr(ParamPoly, "specialize", refuse)
+    monkeypatch.setattr(ParamPoly, "__init__", refuse)
+    got = [CH.scan_one(grams, 8, Fraction(c)) for c in ("1/3", "-2/3", "1/2", "5/4", "7")]
+    monkeypatch.undo()
+    assert got == reference_scan(ch3, ["1/3", "-2/3", "1/2", "5/4", "7"], 8)
+
+
+def _evaluated_rank(rows, c):
+    """Rank of a packed one-orbit matrix evaluated at c over Fraction."""
+    from srak import linalg
+
+    num = [[sum((a * c**k for k, a in row.get(j, {}).items()), Fraction(0)) for j in range(len(rows))] for row in rows]
+    return linalg.rank(num, len(rows))
+
+
+def test_scan_clears_fraction_denominators():
+    # a hand-built packed tower whose values have denominators, so the
+    # integer matrix needs its lcm L; keys are exponents of c
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    grams = {
+        "trivial": [
+            [{0: {0: 1}}],
+            [{0: {0: half, 1: -third}}],  # 1/2 - c/3, zero at c = 3/2
+            [{0: {1: half}, 1: {0: third}}, {0: {0: Fraction(3, 4)}, 1: {1: 2}}],  # det c^2 - 1/4
+        ],
+        "determinant": [
+            [{0: {0: 1}}],
+            [{0: {2: Fraction(2, 7), 0: Fraction(-1, 14)}}],  # zero at c = +-1/2
+            [{0: {0: half, 1: third}, 1: {0: 1, 1: Fraction(2, 3)}}, {}],  # rank 1 everywhere
+        ],
+    }
+    cs = [Fraction(3, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(0), Fraction(2, 5)]
+    for c in cs:
+        got = CH.scan_one(grams, 2, c)
+        for name, tower in grams.items():
+            assert got["profiles"][name] == [_evaluated_rank(rows, c) for rows in tower], (name, c)
+    assert CH.scan_one(grams, 2, Fraction(1, 2))["profiles"] == {"trivial": [1, 1, 1], "determinant": [1, 0, 1]}
+    assert CH.scan_one(grams, 2, Fraction(3, 2))["profiles"]["trivial"] == [1, 0, 2]
+
+
 def test_cutoff_0_profiles_are_inconclusive(ch2, ch3):
     # the degree-0 rank is 1 at every c, finite (1/2) and infinite (1/4) alike
     for ch in (ch2, ch3):
@@ -404,3 +472,16 @@ def test_tau_validation_refuses_the_zero_map(ch3):
     swapped[0], swapped[1] = sign[1], sign[0]
     with pytest.raises(CH.CherednikError):
         CH.StandardModule(ch3, tau=swapped)
+
+
+def test_tau_validation_refuses_misshapen_matrices(ch3):
+    # a 1x2 "matrix" satisfies every product check that zip truncates
+    with pytest.raises(CH.CherednikError, match="square"):
+        CH.StandardModule(ch3, tau={g: ((1, 0),) for g in range(6)})
+    # square but of two sizes: the identity and a 2x2 block elsewhere
+    mixed = {g: ((1,),) for g in range(6)}
+    mixed[1] = ((1, 0), (0, 1))
+    with pytest.raises(CH.CherednikError, match="square"):
+        CH.StandardModule(ch3, tau=mixed)
+    with pytest.raises(CH.CherednikError, match="square"):
+        CH.StandardModule(ch3, tau={g: () for g in range(6)})

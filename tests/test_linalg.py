@@ -160,6 +160,15 @@ def test_inverse_matches_dense_reference(case):
     assert linalg.mat_mul(a, inv) == linalg.mat_identity(n)
 
 
+def test_mat_eq_compares_shapes():
+    assert linalg.mat_eq([[1, 0]], [[1, 0]])
+    assert not linalg.mat_eq([[1, 0]], [[1]])
+    assert not linalg.mat_eq([[1]], [[1, 0]])
+    assert not linalg.mat_eq([[1]], [[1], [0]])
+    assert not linalg.mat_eq([], [[1]])
+    assert linalg.mat_eq([], [])
+
+
 def test_mat_mul_with_empty_right_factor():
     # a right factor with no rows records no column count: one empty row per row of a
     assert linalg.mat_mul([], []) == []
@@ -185,3 +194,64 @@ def test_products_match_dense_sums(case, data):
     dense = [[sum((a[i][k] * b[k][j] for k in range(n)), R0) for j in range(n)] for i in range(n)]
     assert linalg.mat_mul(a, b) == dense
     assert linalg.mat_vec(a, b[0]) == [row[0] for row in linalg.mat_mul(a, linalg.mat_transpose(b))]
+
+
+@st.composite
+def int_matrices(draw):
+    """Int matrices from empty to 8 x 8 (tall, wide or square): small or
+    huge entries of both signs, a drawn share of zeros, and often a drawn
+    rank (a product of two thin factors), plus zero and duplicate rows."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    big = draw(st.booleans())
+    entry = st.integers(-10**30, 10**30) if big else st.integers(-4, 4)
+    zeros = draw(st.integers(0, 3))
+    entry = st.tuples(st.integers(0, zeros), entry).map(lambda t: t[1] if t[0] == 0 else 0)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+        right = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+        rows = [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)] if k else [0] * ncols for lrow in left]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(0, 2))):
+        copy = list(rows[draw(st.integers(0, len(rows) - 1))]) if rows and draw(st.booleans()) else [0] * ncols
+        rows.insert(draw(st.integers(0, len(rows))), copy)
+    return rows, ncols
+
+
+@settings(deadline=None, max_examples=300)
+@given(int_matrices())
+def test_integer_rank_matches_rank(case):
+    rows, ncols = case
+    before = [list(r) for r in rows]
+    assert linalg.integer_rank(rows) == linalg.rank(rows, ncols)
+    assert rows == before
+
+
+def test_integer_rank_on_low_rank_products():
+    # a product of n x k and k x m factors has rank <= k, so its rows
+    # must reduce to zero after k exact steps; seeded, so every run sees
+    # the same 400 matrices
+    rng = random.Random(31)
+    for _ in range(400):
+        n, m, k = rng.randint(2, 8), rng.randint(2, 8), rng.randint(1, 4)
+        bound = rng.choice((4, 10**6))
+        left = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(k)]
+        rows = [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)] for lrow in left]
+        assert linalg.integer_rank(rows) == linalg.rank(rows, m)
+
+
+def test_integer_rank_edge_cases():
+    assert linalg.integer_rank([]) == 0
+    assert linalg.integer_rank([[]]) == 0
+    assert linalg.integer_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert linalg.integer_rank([[1], [2], [-3], [0]]) == 1  # tall
+    assert linalg.integer_rank([[0, 0, 2, 4, 6]]) == 1  # wide
+    assert linalg.integer_rank([[1, 2], [1, 2], [1, 2]]) == 1  # duplicate rows
+    big = 10**40
+    assert linalg.integer_rank([[big, -1], [-big * big, big]]) == 1
+    assert linalg.integer_rank([[big, -1], [-big * big, big + 1]]) == 2
+    # a zero leading minor: the pivot comes from a later row
+    assert linalg.integer_rank([[0, 1, 1], [1, 1, 0], [1, 2, 1]]) == 2
+    assert linalg.integer_rank([[0, 1, 1], [1, 1, 0], [1, 2, 2]]) == 3

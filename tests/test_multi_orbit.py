@@ -14,6 +14,8 @@ from srak import sra as S
 from srak.coeffs import ParamPoly, R0, R1, rat
 from srak.selftest import associativity_suite
 
+from conftest import pairwise_gram
+
 PRODUCT_SPEC = {
     "dim_h": 2,
     "generators_on_h": [[["-1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]]],
@@ -80,6 +82,15 @@ def test_product_center_degree_two(chp):
         if gids != {0}:
             coupled += 1
     assert coupled == 2
+
+
+@pytest.mark.parametrize("c_values", [None, [rat(1, 2)], [rat(1, 3), rat(-2, 5)]])
+def test_gram_tower_two_orbits(chp, c_values):
+    # one packed key field per orbit; c_values may fix the first orbit only
+    d8 = CH.build_cherednik(DIHEDRAL8_SPEC)
+    for ch in (chp, d8):
+        for d, level in enumerate(CH.gram_tower(ch, 4, c_values=c_values)):
+            assert level == pairwise_gram(ch, d, c_values=c_values), d
 
 
 def test_product_weights_undefined(chp):

@@ -571,3 +571,31 @@ def test_products_have_fraction_coefficients(g2, rd2, g3, rd3):
     # int coefficients in, on an algebra whose scales are all 1
     values += _values(_session(S.SRAlgebra.omega_form(g2, rd2), lambda rng: rng.choice([1, -2, 3])))
     assert values and all(type(c) is Fraction for c in values)
+
+
+def test_to_str_keys_each_group_matrix_once(monkeypatch):
+    # the canonical order needs one matrix key per group element, computed
+    # once per group however often elements are printed
+    calls = []
+    inner = G.mat_key
+
+    def counting(mat):
+        calls.append(mat)
+        return inner(mat)
+
+    monkeypatch.setattr(G, "mat_key", counting)
+    g3 = G.group_from_spec(S3_SPEC)  # a fresh group: no key computed yet
+    alg = S.SRAlgebra.omega_form(g3, G.symplectic_reflections(g3))
+    rng = random.Random(5)
+    elts = [random_element(alg, rng) for _ in range(6)]
+    everything = alg.zero()
+    for gid in range(g3.order):
+        everything = everything + alg.group_elt(gid)
+    elts.append(everything * alg.gen(0) * alg.gen(3))
+    printed = [e.to_str() for e in elts]
+    for _ in range(3):
+        assert [e.to_str() for e in elts] == printed
+    assert 0 < len(calls) <= g3.order
+    for e in elts:
+        order = sorted(e.terms, key=lambda k: (len(k[0]), k[0], inner(g3.mats[k[1]])))
+        assert [k for k, _ in e.sorted_terms()] == order
