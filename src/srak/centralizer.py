@@ -717,8 +717,7 @@ class SmashIso:
                 v[l] = R1
                 vals[i] = tuple(v)
                 basis_vals.append(vals)
-        ncols = None
-        tracker = None
+        tracker = linalg.RankTracker()
         for vals in basis_vals:
             tf = self.theta_function(vals)
             for g in range(self.ctx.group.order):
@@ -727,11 +726,8 @@ class SmashIso:
                 for row in m.mat:
                     for x in row:
                         flat.extend(self.A.coords(x))
-                if tracker is None:
-                    ncols = len(flat)
-                    tracker = linalg.RankTracker(ncols)
                 tracker.add(flat)
-        return tracker.rank if tracker else 0
+        return tracker.rank
 
 
 def smash_iso(ctx, A):

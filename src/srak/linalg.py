@@ -3,10 +3,12 @@
 One elimination routine, ``RankTracker``, does every row reduction.  It
 keeps its rows sparse (``{column: value}``) and fully reduced; a row's
 pivot is its lowest nonzero column and rows are taken in input order, so
-identical inputs give identical outputs.  The reduced row-echelon form is
-unique, so ``rref`` equals dense Gauss-Jordan elimination.  The one
-exception is ``integer_rank``, the rank of an int matrix by fraction-free
-elimination, which the pairing scans take once per parameter value.
+identical inputs give identical outputs.  An input row is either a dense
+list or such a map, holding nonzero values only; it is never modified.
+The reduced row-echelon form is unique, so ``rref`` equals dense
+Gauss-Jordan elimination.  The one exception is ``integer_rank``, the
+rank of an int matrix by fraction-free elimination, which the pairing
+scans take once per parameter value.
 """
 
 from .coeffs import R0, R1, rat
@@ -61,12 +63,18 @@ def mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def rref(rows, ncols):
-    """Reduced row-echelon form. Returns (rows, pivot_columns), the rows
-    dense and in pivot order.  The input list is not modified."""
-    tracker = RankTracker(ncols)
+def _reduced(rows):
+    """A ``RankTracker`` that has absorbed ``rows``."""
+    tracker = RankTracker()
     for row in rows:
         tracker.add(row)
+    return tracker
+
+
+def rref(rows, ncols):
+    """Reduced row-echelon form. Returns (rows, pivot_columns), the rows
+    dense and in pivot order.  The input rows are not modified."""
+    tracker = _reduced(rows)
     pivots = sorted(tracker.rows)
     return [[tracker.rows[p].get(c, R0) for c in range(ncols)] for p in pivots], pivots
 
@@ -114,19 +122,20 @@ def nullspace(rows, ncols):
     """Basis of the right null space, one vector per free column.
 
     Each basis vector has a 1 in its free column and zeros in the other
-    free columns; deterministic given the input.
+    free columns; deterministic given the input.  The entries are read off
+    the sparse reduced rows: row p holds -v[p] at each free column f.
     """
-    red, pivots = rref(rows, ncols)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [R0] * ncols
-        v[f] = R1
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    return basis
+    pivot_rows = _reduced(rows).rows
+    basis = {}
+    for f in range(ncols):
+        if f not in pivot_rows:
+            basis[f] = v = [R0] * ncols
+            v[f] = R1
+    for p, row in pivot_rows.items():
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -x
+    return list(basis.values())
 
 
 def mat_inverse(a):
@@ -148,7 +157,7 @@ def mat_rank(a):
 def mat_det(a):
     """Exact determinant: the product of the leading entries that the
     elimination divides by, times the sign of the pivot permutation."""
-    tracker = RankTracker(len(a))
+    tracker = RankTracker()
     det, pivots = R1, []
     for row in a:
         absorbed = tracker.absorb(row)
@@ -169,20 +178,25 @@ def column_space_basis(a):
     return [at[c] for c in pivots]
 
 
+def _as_map(vec):
+    """A new ``{column: value}`` map of a dense list or of such a map."""
+    return dict(vec) if isinstance(vec, dict) else {c: x for c, x in enumerate(vec) if x}
+
+
 class RankTracker:
     """Incremental exact elimination: feed vectors, learn which are new.
 
     ``rows`` maps each pivot column to its sparse row: 1 at the pivot, no
     entry at any other pivot column."""
 
-    def __init__(self, ncols):
-        self.ncols = ncols
+    def __init__(self):
         self.rows = {}
 
     def reduce(self, vec):
-        """``vec`` minus its components along the pivot rows, as a sparse
+        """``vec`` (a dense list, or a ``{column: value}`` map of nonzero
+        values) minus its components along the pivot rows, as a new sparse
         map; empty exactly when ``vec`` lies in the span."""
-        v = {c: x for c, x in enumerate(vec) if x}
+        v = _as_map(vec)
         # each pivot row is zero at every other pivot column, so the
         # entries of vec at the pivot columns are the multipliers
         for p in [p for p in v if p in self.rows]:
@@ -218,39 +232,37 @@ class RankTracker:
         return not self.reduce(vec)
 
 
-def span_equal(vectors_a, vectors_b, ncols):
+def span_equal(vectors_a, vectors_b):
     """True when two families of vectors span the same subspace."""
-    ta = RankTracker(ncols)
-    for v in vectors_a:
-        ta.add(v)
-    tb = RankTracker(ncols)
-    for v in vectors_b:
-        tb.add(v)
-    if ta.rank != tb.rank:
+    ta = _reduced(vectors_a)
+    if ta.rank != _reduced(vectors_b).rank:
         return False
     return all(ta.contains(v) for v in vectors_b)
 
 
-def intersect_spans(vectors_a, vectors_b, ncols):
-    """Basis of span(A) ∩ span(B) via the kernel of the stacked system."""
-    a = [list(v) for v in vectors_a]
-    b = [list(v) for v in vectors_b]
+def intersect_spans(vectors_a, vectors_b):
+    """Basis of span(A) ∩ span(B) via the kernel of the stacked system, as
+    ``{column: value}`` maps."""
+    a = [_as_map(v) for v in vectors_a]
+    b = [_as_map(v) for v in vectors_b]
     if not a or not b:
         return []
-    # rows of the combined coefficient matrix: columns are (coeffs on A | coeffs on B)
-    na, nb = len(a), len(b)
-    rows = []
-    for c in range(ncols):
-        rows.append([a[i][c] for i in range(na)] + [-b[j][c] for j in range(nb)])
-    combos = nullspace(rows, na + nb)
+    # one row per column the vectors occupy: its coefficients on A, then on B
+    na = len(a)
+    rows = {}
+    for i, v in enumerate(a):
+        for c, x in v.items():
+            rows.setdefault(c, {})[i] = x
+    for j, v in enumerate(b):
+        for c, x in v.items():
+            rows.setdefault(c, {})[na + j] = -x
     out = []
-    tracker = RankTracker(ncols)
-    for combo in combos:
-        vec = [R0] * ncols
-        for i in range(na):
-            if combo[i]:
-                vec = [x + combo[i] * y for x, y in zip(vec, a[i])]
-        if any(vec) and tracker.add(vec):
+    tracker = RankTracker()
+    for combo in nullspace([rows[c] for c in sorted(rows)], na + len(b)):
+        vec = {}
+        for x, v in zip(combo, a):
+            K.maxpy(vec, v, x)
+        if vec and tracker.add(vec):
             out.append(vec)
     return out
 

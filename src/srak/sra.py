@@ -800,19 +800,25 @@ def _key_element(alg, key):
     return SRAElement(alg, {(m, g): ParamPoly.monomial(alg.nparams, pe, R1)})
 
 
-def _flatten(alg, elt, slots):
-    """Coordinates of an element over (mono, gid, param-exponent) slots."""
-    vec = [R0] * len(slots)
+def _flatten(elt, slots):
+    """Coordinates of an element over (mono, gid, param-exponent) slots, as
+    a sparse map {slot index: value}; a slot met for the first time is
+    appended to ``slots``."""
+    vec = {}
     for (m, g), p in elt.terms.items():
         for pe, c in p.terms.items():
-            idx = slots.get((m, g, pe))
+            key = (m, g, pe)
+            idx = slots.get(key)
             if idx is None:
-                slots[(m, g, pe)] = idx = len(slots)
-                vec.append(R0)
-            while len(vec) < len(slots):
-                vec.append(R0)
-            vec[idx] = vec[idx] + c
+                slots[key] = idx = len(slots)
+            vec[idx] = c
     return vec
+
+
+def _test_elements(alg):
+    """The basis vectors and the group generators: an element is central
+    exactly when it commutes with each of them."""
+    return [alg.gen(i) for i in range(alg.nv)] + [alg.group_elt(g) for g in alg.group.generator_ids]
 
 
 class CenterBasis:
@@ -842,34 +848,31 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
     """
     if t_value is None:
         t_value = R0
-    gens = list(alg.group.generator_ids)
-    test_elts = [alg.gen(i) for i in range(alg.nv)] + [alg.group_elt(g) for g in gens]
+    test_elts = _test_elements(alg)
+    t = None if include_t else t_value
 
     def commute_vec(z, slots):
-        rows = []
-        for u in test_elts:
-            c = z.commutator(u)
-            if not include_t:
-                c = c.specialize(t=t_value)
-            if c_values is not None:
-                c = c.specialize(c=c_values)
-            rows.append(_flatten(alg, c, slots))
-        return rows
+        return [_flatten(z.commutator(u).specialize(t=t, c=c_values), slots) for u in test_elts]
 
     def central_combinations(basis_elts):
         # one column per basis element, stacking its commutators with every
         # test element; each null vector, with denominators cleared, gives
-        # a central combination
+        # a central combination.  The columns are transposed into one
+        # sparse row per (test element, slot) that occurs, shortest first:
+        # the RREF does not depend on the row order, and a row with one
+        # entry settles its column before longer rows can fill it in
         slots = {}
-        cols = [commute_vec(z, slots) for z in basis_elts]
-        width = len(slots)
-        matrix_rows = []
-        for r in range(len(test_elts)):
-            stacked = [col[r] + [R0] * (width - len(col[r])) for col in cols]
-            for out_c in range(width):
-                matrix_rows.append([v[out_c] for v in stacked])
+        by_test = [{} for _ in test_elts]
+        for j, z in enumerate(basis_elts):
+            for rows, vec in zip(by_test, commute_vec(z, slots)):
+                for slot, x in vec.items():
+                    row = rows.get(slot)
+                    if row is None:
+                        rows[slot] = row = {}
+                    row[j] = x
+        matrix_rows = sorted((rows[slot] for rows in by_test for slot in sorted(rows)), key=len)
         out = []
-        for v in linalg.nullspace(matrix_rows, len(cols)):
+        for v in linalg.nullspace(matrix_rows, len(basis_elts)):
             acc = alg.zero()
             for coef, z in zip(linalg.clear_denominators(v), basis_elts):
                 if coef:
@@ -908,12 +911,9 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
                 zp = z.scale(ParamPoly.var(alg.nparams, pv))
                 old_vecs.append((zp, None))
         allvecs = [(z, "old") for z, _ in old_vecs] + [(z, "new") for z in weight_elements]
-        flat = [_flatten(alg, z, coordslots) for z, _ in allvecs]
-        width2 = len(coordslots)
-        flat = [v + [R0] * (width2 - len(v)) for v in flat]
-        tracker = linalg.RankTracker(width2)
-        for (z, tag), v in zip(allvecs, flat):
-            isnew = tracker.add(v)
+        tracker = linalg.RankTracker()
+        for z, tag in allvecs:
+            isnew = tracker.add(_flatten(z, coordslots))
             if tag == "new" and isnew:
                 elements.append(z)
                 dims[z.vdegree()] += 1
@@ -924,15 +924,8 @@ def recheck_central(alg, elt, c_values=None, include_t=False, t_value=None):
     """Post-hoc check: commutes with every basis vector and generator."""
     if t_value is None:
         t_value = R0
-    for u in [alg.gen(i) for i in range(alg.nv)] + [alg.group_elt(g) for g in alg.group.generator_ids]:
-        c = elt.commutator(u)
-        if not include_t:
-            c = c.specialize(t=t_value)
-        if c_values is not None:
-            c = c.specialize(c=c_values)
-        if c:
-            return False
-    return True
+    t = None if include_t else t_value
+    return not any(elt.commutator(u).specialize(t=t, c=c_values) for u in _test_elements(alg))
 
 
 def satake_corner_check(alg, basis, d, c_values=None):
@@ -941,18 +934,12 @@ def satake_corner_check(alg, basis, d, c_values=None):
     e = spherical_idempotent(alg)
 
     def center_side(z):
-        w = alg.multiply(e, z)
-        if c_values is not None:
-            w = w.specialize(c=c_values)
-        return w.specialize(t=R0)
+        return alg.multiply(e, z).specialize(t=R0, c=c_values)
 
     slots = {}
-    vecs = [_flatten(alg, center_side(z), slots) for z in basis]
-    width = len(slots)
-    vecs = [v + [R0] * (width - len(v)) for v in vecs]
-    tr = linalg.RankTracker(width)
-    for v in vecs:
-        tr.add(v)
+    tr = linalg.RankTracker()
+    for z in basis:
+        tr.add(_flatten(center_side(z), slots))
     injective = tr.rank == len(basis)
 
     # corner dimension: span of e * (monomial x group) * e up to degree d.
@@ -960,18 +947,11 @@ def satake_corner_check(alg, basis, d, c_values=None):
     # relabeling alone, so e (m g) e = e m e for every g under any kappa:
     # one corner per monomial spans the same space
     slots2 = {}
-    corner_vecs = []
+    tr2 = linalg.RankTracker()
     for deg in range(d + 1):
         for m in combinations_with_replacement(range(alg.nv), deg):
             z = SRAElement(alg, {(m, 0): ParamPoly.one(alg.nparams)})
-            w = spherical_corner(alg, z).specialize(t=R0)
-            if c_values is not None:
-                w = w.specialize(c=c_values)
-            corner_vecs.append(_flatten(alg, w, slots2))
-    width2 = len(slots2)
-    tr2 = linalg.RankTracker(width2)
-    for v in corner_vecs:
-        tr2.add(v + [R0] * (width2 - len(v)))
+            tr2.add(_flatten(spherical_corner(alg, z).specialize(t=R0, c=c_values), slots2))
     corner_dim = tr2.rank
     return {"injective": injective, "corner_dim": corner_dim, "basis_size": len(basis), "spans_corner": injective and corner_dim == len(basis)}
 
@@ -991,20 +971,16 @@ def ideal_recovery_check(alg, basis, gens, d, c_values):
             for m in combinations_with_replacement(range(alg.nv), deg):
                 for gg in range(alg.group.order):
                     h = SRAElement(alg, {(m, gg): ParamPoly.one(alg.nparams)})
-                    hi_vecs.append(_flatten(alg, at(alg.multiply(h, g)), slots))
-    z_vecs = [_flatten(alg, at(z), slots) for z in basis if z.vdegree() <= d]
+                    hi_vecs.append(_flatten(at(alg.multiply(h, g)), slots))
+    z_vecs = [_flatten(at(z), slots) for z in basis if z.vdegree() <= d]
     zi_vecs = []
     for g in gens:
         gdeg = g.vdegree()
         for z in basis:
             if z.vdegree() + gdeg <= d:
-                zi_vecs.append(_flatten(alg, at(alg.multiply(z, g)), slots))
-    width = len(slots)
-    hi_vecs = [v + [R0] * (width - len(v)) for v in hi_vecs]
-    z_vecs = [v + [R0] * (width - len(v)) for v in z_vecs]
-    zi_vecs = [v + [R0] * (width - len(v)) for v in zi_vecs]
-    inter = linalg.intersect_spans(hi_vecs, z_vecs, width)
-    return linalg.span_equal(inter, zi_vecs, width)
+                zi_vecs.append(_flatten(at(alg.multiply(z, g)), slots))
+    inter = linalg.intersect_spans(hi_vecs, z_vecs)
+    return linalg.span_equal(inter, zi_vecs)
 
 
 # -- Poisson bracket --------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from srak import cherednik as CH
 from srak import groups as G
+from srak import linalg
 from srak import sra as S
 from srak.coeffs import ParamPoly, R0, R1, rat
 
@@ -168,8 +169,6 @@ def reference_scan(ch, c_values, cutoff):
     specialized (``ParamPoly.specialize``) and every matrix ranked over
     ``Fraction`` (``linalg.rank``); the verdicts combine as in
     ``cherednik.scan_one``."""
-    from srak import linalg
-
     towers = {"trivial": CH.gram_tower(ch, cutoff),
               "determinant": CH.gram_tower(ch, cutoff, tau=CH.determinant_character(ch))}
     out = []
@@ -200,7 +199,8 @@ def dense_rref(rows, ncols):
     """Reference reduced row-echelon form by dense Gauss-Jordan elimination:
     for each column in turn, the first remaining row with a nonzero entry
     there is swapped up, scaled to a leading 1 and cleared from every other
-    row.  Returns (rows, pivot_columns)."""
+    row (a clearing step visits only the columns where the pivot row is
+    nonzero).  Returns (rows, pivot_columns)."""
     m = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -210,11 +210,13 @@ def dense_rref(rows, ncols):
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = R1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        m[r] = top = [x * inv for x in m[r]]
+        nonzero = [(j, y) for j, y in enumerate(top) if y]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                for j, y in nonzero:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
     return m[:r], pivots
@@ -291,3 +293,151 @@ def fraction_normal_form(alg, terms):
         for key, p in nf(tuple(letters)).items():
             add(out, key, times(coeff, p), 1)
     return out
+
+
+def dense_flatten(elt, slots):
+    """Reference coordinates of an element: a dense list over every
+    (mono, gid, param-exponent) slot known so far, new slots appended."""
+    vec = [R0] * len(slots)
+    for (m, g), p in elt.terms.items():
+        for pe, c in p.terms.items():
+            idx = slots.get((m, g, pe))
+            if idx is None:
+                slots[(m, g, pe)] = idx = len(slots)
+            while len(vec) < len(slots):
+                vec.append(R0)
+            vec[idx] = vec[idx] + c
+    return vec
+
+
+def dense_padded(elts, slots):
+    """``dense_flatten`` of each element, all padded to the final width."""
+    vecs = [dense_flatten(z, slots) for z in elts]
+    return [v + [R0] * (len(slots) - len(v)) for v in vecs]
+
+
+def dense_rank(vecs, ncols):
+    return len(dense_rref(vecs, ncols)[1])
+
+
+def dense_nullspace(rows, ncols):
+    """Reference null space from ``dense_rref``: one vector per free column,
+    1 there, 0 at the other free columns."""
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [R0] * ncols
+        v[f] = R1
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def _dense_specialize(elt, t, c_values):
+    """t first, then c, in two passes."""
+    if t is not None:
+        elt = elt.specialize(t=t)
+    if c_values is not None:
+        elt = elt.specialize(c=c_values)
+    return elt
+
+
+def reference_center(alg, d, c_values=None, include_t=False):
+    """Reference degree-truncated center at t = 0: each candidate's
+    commutators with the basis vectors and group generators as dense
+    columns over every slot, stacked into one dense matrix whose null space
+    ``dense_nullspace`` takes; with symbolic parameters, weight by weight,
+    keeping the elements that raise the dense rank over the parameter
+    multiples of the weight below.  Returns (elements, graded_dims)."""
+    test_elts = [alg.gen(i) for i in range(alg.nv)] + [alg.group_elt(g) for g in alg.group.generator_ids]
+    t = None if include_t else R0
+
+    def combinations(basis_elts):
+        slots = {}
+        cols = [[dense_flatten(_dense_specialize(z.commutator(u), t, c_values), slots) for u in test_elts]
+                for z in basis_elts]
+        width = len(slots)
+        cols = [[v + [R0] * (width - len(v)) for v in col] for col in cols]
+        rows = [[col[r][s] for col in cols] for r in range(len(test_elts)) for s in range(width)]
+        out = []
+        for v in dense_nullspace(rows, len(basis_elts)):
+            acc = alg.zero()
+            for coef, z in zip(linalg.clear_denominators(v), basis_elts):
+                if coef:
+                    acc = acc + z.scale(coef)
+            out.append(acc)
+        return out
+
+    dims = [0] * (d + 1)
+    if c_values is not None:
+        elements = combinations([S._key_element(alg, k) for k in S._coord_keys(alg, d, c_values, include_t)])
+        elements.sort(key=lambda e: (e.vdegree(), sorted(e.terms)))
+        for e in elements:
+            dims[e.vdegree()] += 1
+        return elements, dims
+    elements, by_weight = [], {}
+    pvars = list(range(alg.nparams)) if include_t else list(range(1, alg.nparams))
+    keys = S._coord_keys(alg, d, None, include_t)
+    for w in range(d + 1):
+        found = combinations([S._key_element(alg, k) for k in keys if len(k[0]) + 2 * sum(k[2]) == w])
+        by_weight[w] = found
+        old = [z.scale(ParamPoly.var(alg.nparams, pv)) for z in by_weight.get(w - 2, []) for pv in pvars]
+        slots = {}
+        vecs = dense_padded(old + found, slots)
+        kept = []
+        for i, v in enumerate(vecs):
+            if dense_rank(kept + [v], len(slots)) > len(kept):
+                kept.append(v)
+                if i >= len(old):
+                    elements.append(found[i - len(old)])
+                    dims[found[i - len(old)].vdegree()] += 1
+    return elements, dims
+
+
+def reference_satake(alg, basis, d, c_values=None):
+    """Reference ``sra.satake_corner_check``: dense ranks of e z and of the
+    corners e m e, specialized c first, then t = 0."""
+    from itertools import combinations_with_replacement
+
+    e = S.spherical_idempotent(alg)
+    slots = {}
+    vecs = dense_padded([_dense_specialize(alg.multiply(e, z), None, c_values).specialize(t=R0) for z in basis], slots)
+    injective = dense_rank(vecs, len(slots)) == len(basis)
+    corners = []
+    for deg in range(d + 1):
+        for m in combinations_with_replacement(range(alg.nv), deg):
+            z = S.SRAElement(alg, {(m, 0): ParamPoly.one(alg.nparams)})
+            corners.append(_dense_specialize(S.spherical_corner(alg, z), R0, c_values))
+    slots2 = {}
+    corner_dim = dense_rank(dense_padded(corners, slots2), len(slots2))
+    return {"injective": injective, "corner_dim": corner_dim, "basis_size": len(basis),
+            "spans_corner": injective and corner_dim == len(basis)}
+
+
+def reference_ideal_recovery(alg, basis, gens, d, c_values):
+    """Reference ``sra.ideal_recovery_check``: span(H I) ∩ span(Z) from the
+    dense null space of the stacked dense columns, compared with span(Z I)
+    by dense ranks."""
+    from itertools import combinations_with_replacement
+
+    def at(z):
+        return _dense_specialize(z, R0, c_values)
+
+    hi = [at(alg.multiply(S.SRAElement(alg, {(m, gg): ParamPoly.one(alg.nparams)}), g))
+          for g in gens for deg in range(max(0, d - g.vdegree()) + 1)
+          for m in combinations_with_replacement(range(alg.nv), deg) for gg in range(alg.group.order)]
+    zs = [at(z) for z in basis if z.vdegree() <= d]
+    zi = [at(alg.multiply(z, g)) for g in gens for z in basis if z.vdegree() + g.vdegree() <= d]
+    slots = {}
+    vecs = dense_padded(hi + zs + zi, slots)
+    width = len(slots)
+    a, b, zi_vecs = vecs[: len(hi)], vecs[len(hi) : len(hi) + len(zs)], vecs[len(hi) + len(zs) :]
+    rows = [[v[c] for v in a] + [-v[c] for v in b] for c in range(width)]
+    inter = []
+    for combo in dense_nullspace(rows, len(a) + len(b)):
+        vec = [sum((x * v[c] for x, v in zip(combo, a)), R0) for c in range(width)]
+        if any(vec):
+            inter.append(vec)
+    r = dense_rank(inter, width)
+    return r == dense_rank(zi_vecs, width) == dense_rank(inter + zi_vecs, width)

@@ -7,7 +7,8 @@ stated runtime budget.
 
 import sys
 import time
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 from srak import centralizer as C
 from srak import cherednik as CH
@@ -15,7 +16,7 @@ from srak import completion as CP
 from srak import groups as G
 from srak import sra as S
 from srak.coeffs import R0, R1, parse_rational, rat
-from srak.selftest import associativity_suite, tampered_cherednik
+from srak.selftest import associativity_suite, tampered_cherednik, tampered_reflection_data
 
 from conftest import S3_SPEC, S4_SPEC, tampered_iso
 
@@ -275,4 +276,82 @@ def test_criterion_13_completion_isomorphism_s4_s5(ch4):
     ch5 = CH.build_cherednik({"builtin": {"type": "symmetric", "n": 5, "rep": "reflection"}})
     ok = ok and CP.verify_homomorphism(CP.completion_iso(ch5, [R1, rat(-1), rat(2), R0], 2))["all_pass"]
     ok = ok and not CP.verify_homomorphism(tampered_iso(ch4, S4_SPEC, b4, 3))["all_pass"]
+    cr.finish(ok)
+
+
+
+# S4 on C^4 = h + (the trivial line), by a transposition and a 4-cycle
+S4_PERMUTATION_GENERATORS = (((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                             ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
+
+
+def _int_det(m):
+    """Leibniz determinant of a small int matrix (1 for the empty one)."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(1 for i, j in combinations(range(len(m)), 2) if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def molien_dims_s4(max_degree):
+    """dim C[h + h*]^{S4} in degrees 0..max_degree by Molien's formula,
+    from the permutation matrices P_g on C^4 = h + C: det(1 - t P_g) is
+    (1 - t) det(1 - t g|h), and P_g^-T = P_g, so g contributes
+    (1 - t)^2 / det(1 - t P_g)^2.  det(1 - t P) is the sum over k of
+    (-t)^k times the principal k x k minors of P."""
+    group, frontier = {S4_PERMUTATION_GENERATORS[0]}, [S4_PERMUTATION_GENERATORS[0]]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in S4_PERMUTATION_GENERATORS:
+                p = tuple(tuple(sum(m[i][k] * g[k][j] for k in range(4)) for j in range(4)) for i in range(4))
+                if p not in group:
+                    group.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    assert len(group) == 24
+    total = [Fraction(0)] * (max_degree + 1)
+    for g in group:
+        det = [(-1) ** k * sum(_int_det([[g[i][j] for j in idx] for i in idx]) for idx in combinations(range(4), k))
+               for k in range(5)]
+        den = _poly_mul(det, det)
+        num = [1, -2, 1] + [0] * max_degree
+        series = []  # num / den, den[0] == 1
+        for d in range(max_degree + 1):
+            series.append(Fraction(num[d]) - sum(den[k] * series[d - k] for k in range(1, min(d, len(den) - 1) + 1)))
+        total = [a + b for a, b in zip(total, series)]
+    dims = [x / len(group) for x in total]
+    assert all(x.denominator == 1 for x in dims)
+    return [int(x) for x in dims]
+
+
+def _center_matches_molien(alg, molien, c_values=None):
+    cb = S.center_basis(alg, len(molien) - 1, c_values=c_values)
+    ok = cb.graded_dims == molien
+    ok = ok and all(S.recheck_central(alg, z, c_values=c_values) for z in cb.elements)
+    return ok and S.satake_corner_check(alg, cb.elements, len(molien) - 1, c_values=c_values)["spans_corner"]
+
+
+def test_criterion_14_s4_center_molien(ch4):
+    cr = Criterion(14, "S4 center to degree 3 matches Molien, generic and at c = -5/13; tampered S4 fails", 60)
+    molien = molien_dims_s4(3)
+    ok = molien == [1, 0, 3, 4]
+    ok = ok and _center_matches_molien(ch4.algebra, molien)
+    ok = ok and _center_matches_molien(ch4.algebra, molien, [rat(-5, 13)])
+    # the criterion-12 flip reaches the center through the form-driven
+    # presentation (the tampered Cherednik build keeps the clean algebra)
+    bad_rdata = tampered_reflection_data(ch4.rdata, ch4.rdata.reflections[0])
+    ok = ok and not _center_matches_molien(S.SRAlgebra.omega_form(ch4.group, bad_rdata), molien)
     cr.finish(ok)

@@ -284,7 +284,7 @@ def test_gram_kernel_is_lowering_stable(ch2, ch3):
             prev_kernel = CH.gram_kernel_vectors(ch, d - 1, [c])
             # coordinates of the previous kernel span
             idx = {m: k for k, m in enumerate(monos_prev)}
-            span = linalg.RankTracker(len(monos_prev))
+            span = linalg.RankTracker()
             for vec in prev_kernel:
                 coords = [R0] * len(monos_prev)
                 for (e, _), p in vec.items():

@@ -279,3 +279,12 @@ def test_degenerate_spec_exits_3(tmp_path, capsys, spec):
     assert cli.main(["group", "analyze", "--group", str(path)]) == 3  # structural group error
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("computation error:")
+
+
+def test_python_m_srak_is_the_cli():
+    args = ["sra", "center", "--group", "symmetric:2:reflection", "--deg", "2"]
+    runs = [subprocess.run([sys.executable, "-m", module] + args, capture_output=True, cwd=SRC, timeout=600)
+            for module in ("srak", "srak.cli")]
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["checks"][0]["data"]["graded_dims"] == [1, 0, 3]

@@ -54,7 +54,7 @@ def test_rank_tracker_matches_rank():
     for _ in range(10):
         rows, cols = rng.randint(2, 6), rng.randint(2, 5)
         m = rand_mat(rng, rows, cols)
-        tr = linalg.RankTracker(cols)
+        tr = linalg.RankTracker()
         for row in m:
             tr.add(row)
         assert tr.rank == linalg.rank(m, cols)
@@ -66,9 +66,9 @@ def test_intersect_spans():
     e1 = [R1, R0, R0]
     e2 = [R0, R1, R0]
     e3 = [R0, R0, R1]
-    inter = linalg.intersect_spans([e1, e2], [e2, e3], 3)
+    inter = linalg.intersect_spans([e1, e2], [e2, e3])
     assert len(inter) == 1
-    assert linalg.span_equal(inter, [e2], 3)
+    assert linalg.span_equal(inter, [e2])
 
 
 def test_clear_denominators():
@@ -128,7 +128,7 @@ def test_rref_rank_nullspace_match_dense_reference(case):
 @given(sparse_matrices(), st.data())
 def test_rank_tracker_matches_dense_reference(case, data):
     rows, ncols = case
-    tr = linalg.RankTracker(ncols)
+    tr = linalg.RankTracker()
     for i, row in enumerate(rows):
         grew = tr.add(row)
         assert tr.rank == len(dense_rref(rows[: i + 1], ncols)[1])
@@ -143,6 +143,34 @@ def test_rank_tracker_matches_dense_reference(case, data):
         unit = [R1 if c == free[0] else R0 for c in range(ncols)]
         assert not tr.contains(unit)
         assert tr.add(unit) and tr.contains(unit)
+
+
+def as_map(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+@settings(deadline=None)
+@given(sparse_matrices(), st.booleans(), st.data())
+def test_map_rows_match_dense_rows(case, drop_zero_rows, data):
+    """{col: value} rows give what their dense lists give, with or without
+    the all-zero rows, and the caller's maps come back unchanged."""
+    rows, ncols = case
+    maps = [as_map(row) for row in rows if any(row) or not drop_zero_rows]
+    before = [dict(m) for m in maps]
+    assert linalg.rref(maps, ncols) == linalg.rref(rows, ncols)
+    assert linalg.nullspace(maps, ncols) == linalg.nullspace(rows, ncols)
+    dense_tr, map_tr = linalg.RankTracker(), linalg.RankTracker()
+    for row in rows:
+        grew = dense_tr.add(row)
+        if any(row) or not drop_zero_rows:
+            assert map_tr.add(as_map(row)) == grew
+    assert map_tr.rows == dense_tr.rows
+    assert all(map_tr.contains(m) for m in maps)
+    vec = data.draw(st.lists(st.sampled_from([R0, R0, R1, rat(-2, 3)]), min_size=ncols, max_size=ncols))
+    vec_map = as_map(vec)
+    assert map_tr.contains(vec_map) == dense_tr.contains(vec)
+    assert map_tr.reduce(vec_map) == dense_tr.reduce(vec)
+    assert maps == before and vec_map == as_map(vec)
 
 
 @settings(deadline=None)

@@ -4,7 +4,8 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from conftest import S2_SPEC, S3_SPEC, fraction_normal_form
+from conftest import (S2_SPEC, S3_SPEC, fraction_normal_form, reference_center, reference_ideal_recovery,
+                      reference_satake)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +167,37 @@ def test_center_ideal_recovery(ch2):
     gens = [z for z in cb.elements if z.vdegree() == 2]
     assert S.ideal_recovery_check(ch2.algebra, cb.elements, gens, 4, c_values=[rat(1)])
     assert S.ideal_recovery_check(ch2.algebra, cb.elements, gens, 4, c_values=[rat(2, 3)])
+
+
+# (Cherednik fixture, degree, c_values, include_t, c for the corner and
+# ideal checks or None to skip them)
+CENTER_CASES = {
+    "S2-deg4-generic": ("ch2", 4, None, False, [rat(1, 2)]),
+    "S2-deg4-c=1/2": ("ch2", 4, [rat(1, 2)], False, [rat(1, 2)]),
+    "S3-deg3-generic": ("ch3", 3, None, False, [rat(-5, 13)]),
+    "S3-deg3-c=-5/13": ("ch3", 3, [rat(-5, 13)], False, [rat(-5, 13)]),
+    "S3-deg3-include_t": ("ch3", 3, None, True, None),
+    "S4-deg2-generic": ("ch4", 2, None, False, None),
+}
+
+
+@pytest.mark.parametrize("case", list(CENTER_CASES))
+def test_center_matches_dense_reference(request, case):
+    """The sparse center equals the dense reference element for element,
+    and so do the corner and ideal checks on it."""
+    fixture, d, c_values, include_t, check_c = CENTER_CASES[case]
+    alg = request.getfixturevalue(fixture).algebra
+    cb = S.center_basis(alg, d, c_values=c_values, include_t=include_t)
+    elements, dims = reference_center(alg, d, c_values=c_values, include_t=include_t)
+    assert cb.elements == elements
+    assert cb.graded_dims == dims
+    if check_c is None:
+        return
+    assert S.satake_corner_check(alg, cb.elements, d, c_values=c_values) == reference_satake(alg, cb.elements, d, c_values)
+    gens = [z for z in cb.elements if z.vdegree() == 2]
+    assert gens
+    got = S.ideal_recovery_check(alg, cb.elements, gens, d, check_c)
+    assert got == reference_ideal_recovery(alg, cb.elements, gens, d, check_c)
 
 
 def test_generic_center_is_parameters_only(ch2):
