@@ -8,7 +8,8 @@ shorthand ``symmetric:<n>:<rep>``.  Reports are deterministic JSON on
 stdout (or --out); human summaries and timing go to stderr.  Exit codes:
 0 all verdicts pass, 1 some check failed, 2 parse/spec errors (among
 them ``ArityError``, an exponent vector of the wrong length or with a
-negative entry, and a typea ``--slice-cutoff`` of 0), 3 computational
+negative entry, a typea ``--slice-cutoff`` of 0 and a be-iso ``--order``
+below 2), 3 computational
 precondition failures, 4 internal error (any other exception; its
 traceback goes to stderr).  No environment variable is consulted.
 """
@@ -85,6 +86,15 @@ def positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("expected a positive integer, got %s" % text)
+    return value
+
+
+def truncation_order(text):
+    """argparse type for the be-iso truncation order: relations are checked
+    modulo order - 1, so an order below 2 checks nothing."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("expected a truncation order of at least 2, got %s" % text)
     return value
 
 
@@ -400,7 +410,7 @@ def build_parser():
     bv.add_argument("--group", required=True)
     bv.add_argument("--b", required=True)
     bv.add_argument("--c", default="generic")
-    bv.add_argument("--order", type=int, required=True)
+    bv.add_argument("--order", type=truncation_order, required=True)
     add_out(bv)
     bv.set_defaults(fn=cmd_be_iso_verify)
 

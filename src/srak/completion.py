@@ -7,7 +7,10 @@ truncation order; the y-part and the group part stay polynomial.  Every
 truncated element carries the order to which it is valid, and products
 debit that order by the y-degrees of the factors (commuting a y past the
 unknown x-tail can lower the x-degree), so agreement is never reported
-beyond what is provable.
+beyond what is provable.  Products are memoized up to central rational
+scalars: each ``TruncatedAlgebra`` interns values as a rational content
+times an integral primitive part and multiplies each distinct pair of
+primitive parts once per effective order, on the integer PBW core.
 
 The isomorphism onto the coset-matrix algebra over the stabilizer's own
 completed algebra sends group elements to right-translation matrices,
@@ -22,6 +25,9 @@ the generators alone), which the presentation makes sufficient;
 commutative-level map; ``equivariance_check`` verifies the
 second-scaling homogeneity of the images.
 """
+
+import math
+from fractions import Fraction
 
 from . import groups as G
 from .centralizer import (
@@ -39,20 +45,62 @@ class CompletionError(ValueError):
 
 
 class TruncatedAlgebra:
-    """A doubled PBW algebra completed x-adically at truncation order N."""
+    """A doubled PBW algebra completed x-adically at truncation order N.
+
+    It owns the product memo of its truncated elements.  Each value that
+    enters a product is interned as (lam, id) with value = lam * P_id:
+    P_id has integer coefficients with gcd 1, and its first coefficient
+    (least (word, group) key, then least exponent tuple) is positive.
+    Primitives are found by hash bucket and confirmed by exact ``==``, so
+    two different primitives never share an id.  Rational scalars are
+    central, so (lam_a P_a)(lam_b P_b) = lam_a lam_b (P_a P_b), and the
+    product of each (id_a, id_b, xcap) is computed once, on integral
+    coefficients, and interned in turn.
+    """
 
     def __init__(self, algebra, order):
         if algebra.x_count is None:
             raise CompletionError("x-adic completion needs a doubled algebra")
         self.algebra = algebra
         self.order = order
+        self._ids = {}  # hash of a primitive -> ids of the primitives with that hash
+        self._prims = []  # id -> (primitive element, x-degree, y-degree)
+        self._products = {}  # (id_a, id_b, xcap) -> (lam, id) of P_a P_b
+        self._zero = TElt(self, algebra.zero(), None)
+
+    def intern(self, value):
+        """(lam, id) with value = lam * P_id; lam is 0 for the zero value."""
+        terms = value.terms
+        lam = R0
+        if terms:
+            num, den = 0, 1
+            for p in terms.values():
+                for c in p.terms.values():
+                    num = math.gcd(num, c.numerator)
+                    den = math.lcm(den, c.denominator)
+            first = terms[min(terms)].terms
+            if first[min(first)] < 0:
+                num = -num
+            lam = Fraction(num, den)
+            if lam != 1:
+                value = value.scale(1 / lam)
+        key = hash(frozenset((k, frozenset(p.terms.items())) for k, p in value.terms.items()))
+        bucket = self._ids.setdefault(key, [])
+        for pid in bucket:
+            if self._prims[pid][0] == value:
+                return lam, pid
+        pid = len(self._prims)
+        bucket.append(pid)
+        self._prims.append((value, value.xdegree(), value.ydegree()))
+        return lam, pid
 
     def elt(self, sra_element, order=None):
         o = self.order if order is None else order
         return TElt(self, sra_element.truncate_x(o), o)
 
     def zero(self):
-        return TElt(self, self.algebra.zero(), None)
+        """The exact zero, one shared instance (elements are immutable)."""
+        return self._zero
 
     def one(self):
         return TElt(self, self.algebra.one(), None)
@@ -102,15 +150,19 @@ class TruncatedAlgebra:
 class TElt:
     """Truncated element: normal form plus its guaranteed-valid x-order.
 
-    ``order`` None means exact (a polynomial, no truncation debt).
+    ``order`` None means exact (a polynomial, no truncation debt).  The
+    element is never mutated, apart from ``prim``, its (lam, id) in the
+    parent's intern table, which is written once: by the product that made
+    the element, or on its first use as a factor.
     """
 
-    __slots__ = ("parent", "value", "order")
+    __slots__ = ("parent", "value", "order", "prim")
 
-    def __init__(self, parent, value, order):
+    def __init__(self, parent, value, order, prim=None):
         self.parent = parent
         self.value = value
         self.order = order
+        self.prim = prim
 
     def _effective(self):
         return self.parent.order if self.order is None else min(self.order, self.parent.order)
@@ -132,23 +184,40 @@ class TElt:
     def __mul__(self, other):
         if not isinstance(other, TElt):
             return TElt(self.parent, self.value.scale(other), self.order)
-        cap = self.parent.order
+        parent = self.parent
+        if self.prim is None:
+            self.prim = parent.intern(self.value)
+        if other.prim is None:
+            other.prim = parent.intern(other.value)
+        la, ia = self.prim
+        lb, ib = other.prim
+        prims = parent._prims
+        _, xa, ya = prims[ia]
+        _, xb, yb = prims[ib]
+        cap = parent.order
         new_order = None
         if self.order is not None:
-            o = self.order - other.value.ydegree()
-            new_order = o
+            new_order = self.order - yb
         if other.order is not None:
-            o = other.order - self.value.ydegree()
+            o = other.order - ya
             new_order = o if new_order is None else min(new_order, o)
         eff = cap if new_order is None else min(cap, new_order)
         if eff <= 0:
             raise CompletionError("truncation order exhausted: product is valid to order <= 0")
-        if new_order is None and self.value.xdegree() + other.value.xdegree() >= eff:
+        if new_order is None and xa + xb >= eff:
             # the product of two exact polynomials can reach the storage
             # cap; once capped it is no longer exact
             new_order = eff
-        v = self.parent.algebra.multiply(self.value, other.value, xcap=eff)
-        return TElt(self.parent, v.truncate_x(eff), new_order)
+        key = (ia, ib, eff)
+        hit = parent._products.get(key)
+        if hit is None:
+            # multiply prunes every term of x-degree >= eff
+            v = parent.algebra.multiply(prims[ia][0], prims[ib][0], xcap=eff)
+            hit = parent._products[key] = parent.intern(v)
+        lv, iv = hit
+        lam = la * lb * lv
+        v = prims[iv][0]
+        return TElt(parent, v if lam == 1 else v.scale(lam), new_order, (lam, iv))
 
     def __rmul__(self, scalar):
         return TElt(self.parent, self.value.scale(scalar), self.order)

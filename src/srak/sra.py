@@ -52,7 +52,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .coeffs import ArityError, ParamPoly, R0, R1, check_exponents, exact, rat
+from .coeffs import ArityError, ParamPoly, R0, R1, check_exponents, exact, is_rational, rat
 from .coeffs import _kernel as K
 
 
@@ -510,7 +510,14 @@ class SRAElement:
         return self.scale(other)
 
     def scale(self, c):
-        return SRAElement(self.algebra, K.mscale(self.terms, exact(c)))
+        if not is_rational(c):
+            return SRAElement(self.algebra, K.mscale(self.terms, c))
+        # a rational scales each coefficient's term map directly
+        c = exact(c)
+        if not c:
+            return SRAElement(self.algebra, {})
+        arity = self.algebra.nparams
+        return SRAElement(self.algebra, {k: ParamPoly(arity, K.mscale(p.terms, c)) for k, p in self.terms.items()})
 
     def commutator(self, other):
         return self * other - other * self

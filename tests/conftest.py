@@ -100,6 +100,31 @@ def tampered_iso(ch, spec, b, order):
     return CP.completion_iso_with_mu(bad_ch, b, order, CH.convention_solve(ch))
 
 
+def reference_telt_product(a, b):
+    """Reference truncated product, without the product memo: the order
+    debit of ``completion.TElt.__mul__`` on the factors' own values, one
+    ``multiply`` of the two values as they are, truncated again at the
+    effective order."""
+    from srak import completion as CP
+
+    if not isinstance(b, CP.TElt):
+        return CP.TElt(a.parent, a.value.scale(b), a.order)
+    cap = a.parent.order
+    new_order = None
+    if a.order is not None:
+        new_order = a.order - b.value.ydegree()
+    if b.order is not None:
+        o = b.order - a.value.ydegree()
+        new_order = o if new_order is None else min(new_order, o)
+    eff = cap if new_order is None else min(cap, new_order)
+    if eff <= 0:
+        raise CP.CompletionError("truncation order exhausted: product is valid to order <= 0")
+    if new_order is None and a.value.xdegree() + b.value.xdegree() >= eff:
+        new_order = eff
+    v = a.parent.algebra.multiply(a.value, b.value, xcap=eff)
+    return CP.TElt(a.parent, v.truncate_x(eff), new_order)
+
+
 def exhaustive_relations(iso):
     """Reference verdicts of the completion relations, group part on every
     element: the group law on all |G|^2 pairs (with no separate check of

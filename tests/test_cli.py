@@ -89,9 +89,12 @@ def test_scan_builtin_and_preset():
     ["sra", "mul", "--group", "symmetric:2:reflection", "--lhs", "x", "--rhs", "x + q"],
     ["sra", "poisson", "--group", "symmetric:2:reflection", "--lhs", "x^2", "--rhs", "y^"],
     ["sra", "normalize", "--group", "symmetric:2:reflection", "--expr", "x^99999999"],
+    ["be-iso", "verify", "--group", "symmetric:2:reflection", "--b", "1", "--order", "0"],
+    ["be-iso", "verify", "--group", "symmetric:2:reflection", "--b", "1", "--order", "-2"],
+    ["be-iso", "verify", "--group", "symmetric:2:reflection", "--b", "1", "--order", "1"],
 ], ids=["scan-cutoff", "typea-slice-cutoff", "typea-slice-cutoff-0", "scan-empty-c-list", "gram-deg", "center-deg",
         "expr-open-power", "expr-open-product", "expr-empty", "expr-open-paren", "mul-unknown-symbol",
-        "poisson-open-power", "expr-huge-exponent"])
+        "poisson-open-power", "expr-huge-exponent", "be-iso-order-0", "be-iso-order-negative", "be-iso-order-1"])
 def test_bad_input_exits_2(argv, capsys):
     try:
         code = cli.main(argv)

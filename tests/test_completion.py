@@ -1,4 +1,5 @@
 import copy
+import math
 
 import pytest
 
@@ -10,7 +11,15 @@ from srak import sra as S
 from srak.coeffs import ParamPoly, R0, R1, rat
 from srak.selftest import tampered_cherednik, tampered_s3
 
-from conftest import S3_SPEC, S4_SPEC, WEYL_SPEC, dense_product, exhaustive_relations, tampered_iso
+from conftest import (
+    S3_SPEC,
+    S4_SPEC,
+    WEYL_SPEC,
+    dense_product,
+    exhaustive_relations,
+    reference_telt_product,
+    tampered_iso,
+)
 
 
 def test_recenter_identity(ch2):
@@ -401,29 +410,131 @@ def _mutant(iso, w_images=None, y_images=None):
     return out
 
 
-def test_generator_check_refuses_mutants(ch3):
-    iso = CP.completion_iso(ch3, [rat(2), R1], 3)
-    grp = ch3.group
+def _mutants(iso):
+    """Mutants of an S3 iso that the generator check must refuse: two
+    group images swapped, a wrong unit, a skewed y image and w = 0."""
+    grp = iso.ch.group
     g, h = [x for x in range(1, grp.order) if x not in grp.generator_ids][:2]
-
     swapped = _mutant(iso)
     swapped.w_images[g], swapped.w_images[h] = iso.w_images[h], iso.w_images[g]
-    got, ref = assert_matches_exhaustive(swapped)
-    assert not got["group_multiplicativity"] and not ref["group_multiplicativity"]
-
     wrong_unit = _mutant(iso)
     wrong_unit.w_images[0] = iso.w_images[g]
-    got, ref = assert_matches_exhaustive(wrong_unit)
-    assert not got["group_multiplicativity"] and not ref["group_multiplicativity"]
-
     rows = [list(row) for row in iso.y_images[0].mat]
     rows[0][0] = rows[0][0] + iso.talg.one()
     skewed = _mutant(iso, y_images=[iso.ctx.from_matrix(rows)] + iso.y_images[1:])
-    got, ref = assert_matches_exhaustive(skewed)
+    zero = _mutant(iso, w_images={x: iso.ctx.zero() for x in range(grp.order)})
+    return {"swapped": swapped, "wrong_unit": wrong_unit, "skewed": skewed, "zero": zero}
+
+
+def test_generator_check_refuses_mutants(ch3):
+    mutants = _mutants(CP.completion_iso(ch3, [rat(2), R1], 3))
+
+    got, ref = assert_matches_exhaustive(mutants["swapped"])
+    assert not got["group_multiplicativity"] and not ref["group_multiplicativity"]
+
+    got, ref = assert_matches_exhaustive(mutants["wrong_unit"])
+    assert not got["group_multiplicativity"] and not ref["group_multiplicativity"]
+
+    got, ref = assert_matches_exhaustive(mutants["skewed"])
     assert got["group_multiplicativity"] and not got["w_y_conjugation"] and not ref["w_y_conjugation"]
 
     # w = 0 satisfies w_g w_h = w_gh for every pair, but it is no
     # homomorphism: the reference's group law passes it, this one does not
-    zero = _mutant(iso, w_images={x: iso.ctx.zero() for x in range(grp.order)})
-    got, ref = assert_matches_exhaustive(zero)
+    got, ref = assert_matches_exhaustive(mutants["zero"])
     assert ref["group_multiplicativity"] and not got["group_multiplicativity"]
+
+
+# -- the product memo ----------------------------------------------------------
+
+
+def test_memo_reports_match_reference_product(ch3, ch4, monkeypatch):
+    # failing builds, so that the first_failure strings are compared too
+    bad_ch, _, b = tampered_s3()
+    isos = {
+        "tampered_s4": lambda: tampered_iso(ch4, S4_SPEC, [R1, rat(-1), rat(2)], 3),
+        "tampered_s3": lambda: CP.completion_iso_with_mu(bad_ch, b, 3, rat(-2)),
+    }
+    for name in ("swapped", "wrong_unit", "skewed", "zero"):
+        isos[name] = lambda name=name: _mutants(CP.completion_iso(ch3, [rat(2), R1], 3))[name]
+    for name, build in isos.items():
+        with monkeypatch.context() as m:
+            m.setattr(CP.TElt, "__mul__", reference_telt_product)
+            ref = CP.verify_homomorphism(build())
+        got = CP.verify_homomorphism(build())
+        assert got == ref, name
+        assert not got["all_pass"], name
+        assert any(v["first_failure"] for v in got["relations"].values()), name
+
+
+def _same_product(a, b):
+    got, ref = a * b, reference_telt_product(a, b)
+    assert got.value == ref.value and got.order == ref.order
+    assert got.prim[0] * got.parent._prims[got.prim[1]][0] == got.value
+    return got
+
+
+def test_memo_products_of_scalar_multiples(ch3):
+    iso = CP.completion_iso(ch3, [rat(2), rat(1)], 4)
+    talg = iso.talg
+    y = [e for row in iso.y_images[0].mat for e in row if e.value and e.order is not None]
+    x = [e for row in iso.x_images[1].mat for e in row if e.value]
+    w = [e for row in iso.w_images[1].mat for e in row if e.value]
+    factors = y[:2] + x[:1] + w[:1] + [talg.y_gen(0), talg.one()]
+    scalars = [R1, rat(-1), rat(-3, 2), rat(2, 7), rat(6)]
+    for a in factors:
+        for b in factors:
+            _same_product(a, b)
+    # every scalar multiple of a computed pair is answered from the memo
+    memo_size = len(talg._products)
+    for a in factors:
+        for b in factors:
+            for la in scalars:
+                for lb in scalars[::-1]:
+                    _same_product(CP.TElt(talg, a.value.scale(la), a.order), CP.TElt(talg, b.value.scale(lb), b.order))
+    assert len(talg._products) == memo_size
+    # zero and truncated-zero operands, on either side
+    for z in (talg.zero(), CP.TElt(talg, talg.algebra.zero(), 3), CP.TElt(talg, talg.algebra.zero(), 2)):
+        for a in factors:
+            assert not _same_product(z, a).value and not _same_product(a, z).value
+    # equal values at different orders: the memo is keyed by the effective order
+    for a in y:
+        for b in factors:
+            for o in (2, 3, 4, None):
+                _same_product(CP.TElt(talg, a.value, o), b)
+                _same_product(b, CP.TElt(talg, a.value, o))
+
+
+def test_memo_interns_integral_primitives(ch3):
+    iso = CP.completion_iso(ch3, [rat(2), rat(1)], 4)
+    talg = iso.talg
+    entries = [e for m in iso.y_images + iso.x_images for row in m.mat for e in row]
+    for e in entries:
+        lam, pid = talg.intern(e.value)
+        prim = talg._prims[pid][0]
+        assert prim.scale(lam) == e.value
+        coeffs = [c for p in prim.terms.values() for c in p.terms.values()]
+        assert all(c.denominator == 1 for c in coeffs)
+        if coeffs:
+            assert math.gcd(*(c.numerator for c in coeffs)) == 1
+            first = prim.terms[min(prim.terms)].terms
+            assert first[min(first)] > 0
+            # a negative multiple interns to the same primitive
+            assert talg.intern(e.value.scale(rat(-5, 3))) == (lam * rat(-5, 3), pid)
+        else:
+            assert lam == 0
+
+
+def test_verify_multiply_count_s4(ch4, monkeypatch):
+    # a count, not a time: each distinct product of primitives up to a
+    # rational is multiplied once; unmemoized products make 5304 calls here
+    iso = CP.completion_iso(ch4, [R1, rat(-1), rat(2)], 3)
+    mul = S.SRAlgebra.multiply
+    calls = []
+
+    def counted(self, a, b, xcap=None):
+        calls.append(None)
+        return mul(self, a, b, xcap)
+
+    monkeypatch.setattr(S.SRAlgebra, "multiply", counted)
+    assert CP.verify_homomorphism(iso)["all_pass"]
+    assert len(calls) == 512

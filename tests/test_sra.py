@@ -542,6 +542,25 @@ def test_truncated_multiply_matches_fraction_reference(data, xcap):
     assert term_maps(alg.multiply(a, b, xcap=xcap)) == reference_product(alg, a, b, xcap)
 
 
+def test_multiply_prunes_at_xcap(ch3, ch4):
+    # completion.TElt.__mul__ does not truncate again: multiply alone must
+    # leave no term of x-degree >= xcap
+    pruned = 0
+    for ch in (ch3, ch4):
+        alg = ch.algebra
+        rng = random.Random(11)
+        elts = [random_element(alg, rng, max_degree=3) for _ in range(5)]
+        for a in elts:
+            for b in elts:
+                full = alg.multiply(a, b)
+                for k in (1, 2, 3):
+                    cut = alg.multiply(a, b, xcap=k)
+                    assert cut.xdegree() < k
+                    assert cut == full.truncate_x(k)
+                    pruned += full.xdegree() >= k
+    assert pruned
+
+
 def test_scales():
     assert engine_algebra("s3-omega").scales == (1, 2)
     assert engine_algebra("s3-t-third").scales == (3, 2)
