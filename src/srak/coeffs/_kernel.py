@@ -7,15 +7,21 @@ index) to an exact value: an int, a ``Fraction`` or a ``ParamPoly``.  The
 functions here are the one place that merges, scales, scale-accumulates
 and convolves such maps, pruning exact zeros (a value is zero when it is
 falsy).  Results never alias their inputs; only ``maxpy``,
-``emap_axpy`` and ``emap_addmul`` write, and only to their first argument.
+``emap_axpy``, ``emap_addmul`` and ``pbw_addmul`` write, and only to their
+first argument.
 
 Two convolutions: ``mmul`` adds exponent tuples componentwise, for
 ``ParamPoly`` products and ``cherednik.StandardModule.act_poly``;
-``pmul`` and the fused ``emap_addmul`` take packed int keys, whose sum is
-the product monomial, and serve the PBW rewriting core
-(``SRAlgebra._word_normal`` and ``multiply``), which packs exponent
-vectors and guards the fields against carries (see ``sra``), and the
-Z[c] pairing entries of ``cherednik.packed_gram_tower``.
+``pmul``, the fused ``emap_addmul`` and ``pbw_addmul`` take packed int
+keys, whose sum is the product monomial.  ``pbw_addmul`` is the PBW
+rewriting core's accumulator (``SRAlgebra._word_normal`` and
+``multiply``, which pack exponent vectors and guard the fields against
+carries, see ``sra``): one call adds a whole flat normal form
+{(word, gid, packed key): value} times a packed polynomial, the group
+part multiplied on the right by one element through the Cayley table.
+``pmul`` forms the coefficient products of ``multiply``'s two factors, and
+``emap_addmul`` the Z[c] pairing entries of
+``cherednik.packed_gram_tower``.
 
 Callers: ``ParamPoly`` arithmetic, PBW normal ordering (``sra``), the
 Dunkl module vectors and pairing matrices (``cherednik``), group-algebra
@@ -132,6 +138,33 @@ def emap_addmul(out, key, a, b, s):
                     del acc[k]
     if not acc:
         del out[key]
+    return out
+
+
+def pbw_addmul(out, src, poly, s, table, g):
+    """In-place out[(m, table[h][g], kb + k)] += s * c * cb for every term
+    (m, h, kb): cb of the flat normal form ``src`` and every term k: c of
+    the packed map ``poly``: a normal form times a coefficient polynomial
+    and, on the right, the group element g (``table`` is the Cayley table).
+    Values are ints or ``Fraction``s, whose products of nonzero factors are
+    nonzero; only sums are pruned."""
+    if not s:
+        return out
+    get = out.get
+    for k, c in poly.items():
+        if s != 1:
+            c = s * c
+        for (m, h, kb), cb in src.items():
+            key = (m, table[h][g], kb + k)
+            cur = get(key)
+            if cur is None:
+                out[key] = c * cb
+            else:
+                cur = cur + c * cb
+                if cur:
+                    out[key] = cur
+                else:
+                    del out[key]
     return out
 
 

@@ -25,16 +25,21 @@ core works in the variables u_p = c_p / d_p, in which the builtin kappa
 tables and group matrices are integral (the S3 omega-form kappa has
 d = (1, 2)).  A monomial u^e is keyed by one int, with e_p in bits
 [PACK_BITS*p, PACK_BITS*(p+1)), so multiplying two monomials is adding two
-ints (packed exponent vectors, Monagan-Pearce 2007).  ``multiply`` is the
-boundary: it packs the coefficients of its factors into the u-variables
-(the coefficient of u^e is that of c^e times prod d_p^e_p), and unpacks
-the result and divides it back exactly, so every coefficient it returns is
-a ``Fraction`` in the public c-variables, keyed by exponent tuples.  A
-carry between fields would be silent, so ``multiply`` first bounds the
-product's exponents: E(a) + E(b) + k*(L(a) + L(b))//2, with E a factor's
-largest parameter exponent, L its longest word and k the largest exponent
-in the kappa table (each kappa step removes two letters), and raises
-AlgebraError when that reaches 2^PACK_BITS.  Data that stays non-integral
+ints (packed exponent vectors, Monagan-Pearce 2007).  The rewriting
+caches and the accumulator of ``multiply`` are flat maps with one key per
+term, (sorted word, gid, packed u-monomial) -> int or Fraction, filled by
+``coeffs._kernel.pbw_addmul``, one call per normal form and coefficient
+polynomial.  ``multiply`` is the boundary: it packs the coefficients of
+its factors into the u-variables (the coefficient of u^e is that of c^e
+times prod d_p^e_p), and regroups its flat result into (word, gid) ->
+coefficient once, unpacking and dividing it back exactly, so every
+coefficient it returns is a ``Fraction`` in the public c-variables, keyed
+by exponent tuples.  A carry between fields would be silent, so
+``multiply`` first bounds the product's exponents: E(a) + E(b) +
+k*(L(a) + L(b))//2, with E a factor's largest parameter exponent, L its
+longest word and k the largest exponent in the kappa table (each kappa
+step removes two letters), and raises AlgebraError when that reaches
+2^PACK_BITS.  Data that stays non-integral
 after scaling (a constant kappa term with a denominator, a non-integral
 group matrix) flows through the same code as ``Fraction`` values mixed
 with ints.
@@ -47,6 +52,7 @@ between threads.
 """
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -278,23 +284,26 @@ class SRAlgebra:
                 top = emax
         return out, top
 
-    def _from_u(self, terms):
-        """A packed coefficient map in the u-variables, rewritten in the
-        c-variables with exponent-tuple keys and Fraction values (exact
-        division)."""
+    def _from_u(self, flat):
+        """A flat map {(word, gid, packed key): value} in the u-variables,
+        regrouped into {(word, gid): ParamPoly} in the c-variables with
+        exponent-tuple keys and Fraction values (exact division)."""
         unpacks = self._unpacks
-        out = {}
-        for key, c in terms.items():
+        grouped = {}
+        for (m, g, key), c in flat.items():
             hit = unpacks.get(key)
             if hit is None:
                 e = unpack_key(key, self.nparams)
                 hit = unpacks[key] = (e, self._pack(e)[1])
             e, w = hit
+            poly = grouped.get((m, g))
+            if poly is None:
+                poly = grouped[(m, g)] = {}
             if type(c) is int:
-                out[e] = Fraction(c, w) if w != 1 else Fraction(c)
+                poly[e] = Fraction(c, w) if w != 1 else Fraction(c)
             else:
-                out[e] = c / w if w != 1 else c
-        return out
+                poly[e] = c / w if w != 1 else c
+        return {k: ParamPoly(self.nparams, v) for k, v in grouped.items()}
 
     def _column(self, gid, v):
         key = (gid, v)
@@ -336,7 +345,7 @@ class SRAlgebra:
     def _word_normal(self, word):
         """Normal form of a plain word of basis indices.
 
-        Returns a frozen map {(sorted word, gid): raw poly dict}.
+        Returns a frozen flat map {(sorted word, gid, packed key): value}.
         Callers must not mutate the result.
         """
         hit = self._word_cache.get(word)
@@ -348,25 +357,24 @@ class SRAlgebra:
                 pos = idx
                 break
         if pos < 0:
-            out = {(word, 0): {0: 1}}
+            out = {(word, 0, 0): 1}
             self._word_cache[word] = out
             return out
         j, i = word[pos], word[pos + 1]
         swapped = word[:pos] + (i, j) + word[pos + 2 :]
-        # copies, not aliases: the emap_addmul calls below write into them
-        out = {k: dict(p) for k, p in self._word_normal(swapped).items()}
+        # a copy, not an alias: the pbw_addmul calls below write into it
+        out = dict(self._word_normal(swapped))
         kap = self._kappa.get((j, i), ())
         if kap:
             prefix, suffix = word[:pos], word[pos + 2 :]
-            mul = self.group.mul
+            table = self.group.table
             for gid, kpoly in kap:
                 if suffix:
                     exp = self._gexpand(gid, suffix)
                 else:
                     exp = (((), 1),)
                 for w2, q in exp:
-                    for (m, g2), p in self._word_normal(prefix + w2).items():
-                        K.emap_addmul(out, (m, mul(g2, gid)), kpoly, p, q)
+                    K.pbw_addmul(out, self._word_normal(prefix + w2), kpoly, q, table, gid)
         self._word_cache[word] = out
         return out
 
@@ -378,8 +386,7 @@ class SRAlgebra:
             return hit
         out = {}
         for w, q in self._gexpand(gid, mono):
-            for k, p in self._word_normal(w).items():
-                K.emap_axpy(out, k, p, q)
+            K.maxpy(out, self._word_normal(w), q)
         self._gmono_cache[key] = out
         return out
 
@@ -390,9 +397,10 @@ class SRAlgebra:
         if a.algebra is not b.algebra:
             raise AlgebraError("elements of different algebras")
         xc = self.x_count
-        mul = self.group.mul
+        table = self.group.table
         to_u = self._to_u
-        unit = {((), 0): {0: 1}}
+        word_normal = self._word_normal
+        wcache = self._word_cache
         right = []  # (word, gid, coefficients in u, x-degree minus y-degree)
         top_b = len_b = 0
         for (m2, g2), p2 in b.terms.items():
@@ -412,7 +420,7 @@ class SRAlgebra:
         # most _kappa_exp, so no packed field of the product can carry
         if top_a + top_b + self._kappa_exp * ((len_a + len_b) // 2) >= _FIELD:
             raise AlgebraError("a parameter exponent of this product could reach 2^%d" % PACK_BITS)
-        out = {}
+        out = {}  # flat: (word, gid, packed key) -> value
         for m1, g1, p1r in left:
             if xcap is not None:
                 x1 = sum(1 for v in m1 if v < xc)
@@ -420,27 +428,23 @@ class SRAlgebra:
             for m2, g2, p2r, xy2 in right:
                 if xcap is not None and xy1 + xy2 >= xcap:
                     continue
-                g12 = mul(g1, g2)
+                g12 = table[g1][g2]
                 p12 = K.pmul(p1r, p2r)
                 if not p12:
                     continue
-                pieces = self._gmono_normal(g1, m2) if m2 else unit
-                for (mp, gp), q in pieces.items():
-                    coeff = K.pmul(p12, q)
-                    if not coeff:
-                        continue
-                    g = mul(gp, g12)
-                    if m1:
-                        for (m, gk), pk in self._word_normal(m1 + mp).items():
-                            if xcap is not None and sum(1 for v in m if v < xc) >= xcap:
-                                continue
-                            K.emap_addmul(out, (m, mul(gk, g)), coeff, pk, 1)
-                    else:
-                        if xcap is not None and sum(1 for v in mp if v < xc) >= xcap:
-                            continue
-                        K.emap_axpy(out, (mp, g), coeff, 1)
-        from_u = self._from_u
-        return SRAElement(self, {k: ParamPoly(self.nparams, from_u(v)) for k, v in out.items()})
+                for (mp, gp, kq), q in self._gmono_normal(g1, m2).items():
+                    # the cache probed here: most pieces hit, and a method
+                    # call per hit was measurably slower
+                    w = m1 + mp
+                    src = wcache.get(w)
+                    if src is None:
+                        src = word_normal(w)
+                    if xcap is not None:
+                        # normal-form words are sorted: the x letters lead
+                        src = {key: c for key, c in src.items() if bisect_left(key[0], xc) < xcap}
+                    poly = {k + kq: c for k, c in p12.items()} if kq else p12
+                    K.pbw_addmul(out, src, poly, q, table, table[gp][g12])
+        return SRAElement(self, self._from_u(out))
 
     def normalize_word(self, factors):
         """Normal form of a product of factors.

@@ -1,10 +1,14 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srak import cli
 from srak.coeffs import ParamPoly
@@ -102,6 +106,49 @@ def test_bad_input_exits_2(argv, capsys):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+# element literals on S3 from a fixed token alphabet: at most 10 tokens and
+# every exponent at most 3, so each case is a bounded computation
+NAMES = ["x1", "x2", "y1", "y2", "s1", "s2", "t", "c1"]
+NUMBERS = st.one_of(st.integers(0, 9).map(str), st.tuples(st.integers(0, 9), st.integers(0, 9)).map("%d/%d".__mod__))
+LITERAL_TOKENS = st.one_of(st.sampled_from(NAMES), NUMBERS, st.sampled_from(list("/+-*^()")))
+
+
+def cap_exponents(tokens):
+    """The tokens, each one after "^" replaced by a digit of at most 3 when
+    it is a number."""
+    out = list(tokens)
+    for i in range(1, len(out)):
+        if out[i - 1] == "^" and out[i][0].isdigit():
+            out[i] = str(min(int(out[i][0]), 3))
+    return out
+
+
+# half the cases chain operands (a name, a number or a name to a power) with
+# + - *, so that many literals parse and are normalized
+OPERANDS = st.one_of(
+    st.sampled_from(NAMES).map(lambda n: [n]),
+    NUMBERS.map(lambda n: [n]),
+    st.tuples(st.sampled_from(NAMES), st.integers(0, 3)).map(lambda p: [p[0], "^", str(p[1])]),
+)
+CHAINS = st.lists(st.tuples(st.sampled_from("+-*"), OPERANDS), min_size=1, max_size=5).map(
+    lambda parts: [tok for op, operand in parts for tok in [op] + operand][1:11]
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(tokens=st.one_of(st.lists(LITERAL_TOKENS, max_size=10), CHAINS).map(cap_exponents))
+def test_fuzzed_literal_never_tracebacks(tokens):
+    expr = " ".join(tokens)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["sra", "normalize", "--group", "symmetric:3:reflection", "--expr", expr])
+        except SystemExit as exc:  # argparse rejected an argument
+            code = exc.code
+    assert code in (0, 2), expr
+    assert "Traceback" not in err.getvalue(), expr
 
 
 def test_failing_verdict_exits_1(capsys):

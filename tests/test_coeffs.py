@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srak.coeffs import (
     ArityError,
@@ -104,25 +107,6 @@ def test_specialize_examples():
     assert (t * c1).specialize({0: R0}) == ParamPoly.zero(2)
 
 
-def test_specialize_is_ring_homomorphism():
-    rng = random.Random(5)
-    for _ in range(40):
-        a, b = rand_poly(rng), rand_poly(rng)
-        vals = {0: rat(rng.randint(-3, 3)), 1: rat(rng.randint(-3, 3), 2)}
-        assert (a * b).specialize(vals) == a.specialize(vals) * b.specialize(vals)
-        assert (a + b).specialize(vals) == a.specialize(vals) + b.specialize(vals)
-
-
-def test_ring_axioms_random():
-    rng = random.Random(6)
-    for _ in range(60):
-        a, b, c = rand_poly(rng), rand_poly(rng), rand_poly(rng)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a * b == b * a
-        assert a + b == b + a
-
-
 def test_canonical_string_order():
     t = ParamPoly.var(2, 0)
     c1 = ParamPoly.var(2, 1)
@@ -137,3 +121,39 @@ def test_power():
     assert t**3 == t * t * t
     p = rand_poly(random.Random(7))
     assert p**2 == p * p
+
+
+# ring axioms of ParamPoly (the coefficient type of every SRAElement), on
+# two parameters with small exponents and rational coefficients
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+POLYS = st.dictionaries(EXPONENTS, RATIONALS.filter(bool), max_size=4).map(lambda t: ParamPoly(2, t))
+POINTS = st.fixed_dictionaries({0: st.one_of(st.integers(-3, 3), RATIONALS), 1: st.one_of(st.integers(-3, 3), RATIONALS)})
+
+
+@settings(deadline=None)
+@given(a=POLYS, b=POLYS, c=POLYS)
+def test_ring_axioms_random(a, b, c):
+    zero, one = ParamPoly.zero(2), ParamPoly.one(2)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert (a * zero).terms == {}
+    # exact cancellation leaves an empty map, not zero coefficients
+    assert (a - a).terms == {} and (a + (-a)).terms == {}
+    assert (a * b - b * a).terms == {}
+
+
+@settings(deadline=None)
+@given(a=POLYS, b=POLYS, point=POINTS)
+def test_specialize_is_ring_homomorphism(a, b, point):
+    one = ParamPoly.one(2)
+    at = lambda p: p.specialize(point)  # noqa: E731
+    assert at(a + b) == at(a) + at(b)
+    assert at(a * b) == at(a) * at(b)
+    assert at(one) == one
+    assert at(a).is_const()
+    assert all(c != 0 for c in at(a).terms.values())

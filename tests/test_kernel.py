@@ -6,9 +6,13 @@ on the three kinds of value the package stores: rationals, ints mixed with
 ``Fraction``s, and ``ParamPoly``s.  The reference sums over the union of
 the keys and drops values that compare equal to 0 (no truthiness test).
 The packed-key products are checked on keys packed as ``SRAlgebra`` packs
-them, together with the guard that keeps their fields from carrying.
+them, together with the guard that keeps their fields from carrying, and
+so is the PBW accumulator ``pbw_addmul`` on flat normal forms, against the
+Cayley table of S3 (non-abelian, so the side the group element multiplies
+on shows).
 """
 
+import itertools
 import operator
 from fractions import Fraction
 
@@ -164,6 +168,56 @@ def test_packed_products_match_reference(kind, data):
     assert K.madd(K.pmul(a, b), K.pmul(a, K.mneg(b))) == {}
     start = K.pmul(a, b)
     assert K.emap_addmul({key: start} if start else {}, key, a, b, -1) == {}
+
+
+# S3 as the permutations of (0, 1, 2); table[i][j] is the index of
+# perms[i] after perms[j], written independently of srak.groups
+S3_PERMS = list(itertools.permutations(range(3)))
+S3_TABLE = [[S3_PERMS.index(tuple(p[q[k]] for k in range(3))) for q in S3_PERMS] for p in S3_PERMS]
+WORDS = st.lists(st.integers(0, 3), max_size=2).map(lambda w: tuple(sorted(w)))
+PBW_VALUES = {"int": st.integers(-3, 3), "rational": RATIONALS}
+
+
+def flat_forms(kind):
+    keys = st.tuples(WORDS, st.integers(0, 5), PACKED_KEYS)
+    return st.dictionaries(keys, PBW_VALUES[kind].filter(bool), max_size=6)
+
+
+def ref_pbw_addmul(out, src, poly, s, g):
+    """out + s * (src times poly, each group part h multiplied by g on the
+    right), summed over the union of the keys."""
+    want = dict(out)
+    for (m, h, kb), cb in src.items():
+        for k, c in poly.items():
+            key = (m, S3_TABLE[h][g], kb + k)
+            want[key] = want.get(key, 0) + s * c * cb
+    return {k: v for k, v in want.items() if v != 0}
+
+
+@pytest.mark.parametrize("kind", sorted(PBW_VALUES))
+@settings(deadline=None)
+@given(data=st.data())
+def test_pbw_addmul_matches_reference(kind, data):
+    out, src = data.draw(flat_forms(kind)), data.draw(flat_forms(kind))
+    poly = data.draw(st.dictionaries(PACKED_KEYS, PBW_VALUES[kind].filter(bool), max_size=3))
+    s = data.draw(PBW_VALUES[kind])
+    g = data.draw(st.integers(0, 5))
+    want = ref_pbw_addmul(out, src, poly, s, g)
+    src0, poly0 = dict(src), dict(poly)
+    assert K.pbw_addmul(out, src, poly, s, S3_TABLE, g) is out
+    assert out == want
+    assert_pruned(out)
+    assert src == src0 and poly == poly0  # no input mutated
+    # exact cancellation leaves nothing behind
+    start = ref_pbw_addmul({}, src, poly, s, g)
+    assert K.pbw_addmul(start, src, poly, -s, S3_TABLE, g) == {}
+
+
+def test_pbw_addmul_multiplies_the_group_part_on_the_right():
+    h, g = 1, 3
+    assert S3_TABLE[h][g] != S3_TABLE[g][h]
+    got = K.pbw_addmul({}, {((0,), h, 0): 2}, {5: 3}, 1, S3_TABLE, g)
+    assert got == {((0,), S3_TABLE[h][g], 5): 6}
 
 
 def test_products_refuse_exponents_that_would_carry(omega_alg2):

@@ -572,8 +572,7 @@ def test_scales():
 def _cache_values(alg):
     for cache in (alg._word_cache, alg._gmono_cache):
         for normal_form in cache.values():
-            for poly in normal_form.values():
-                yield from poly.values()
+            yield from normal_form.values()
     for expansion in alg._gexp_cache.values():
         for _, c in expansion:
             yield c
@@ -608,6 +607,25 @@ def test_rewriting_caches_hold_ints(g3, rd3):
     _session(alg, _halves)
     assert alg._word_cache and alg._gmono_cache and alg._gexp_cache
     assert all(type(c) is int for c in _cache_values(alg))
+
+
+def test_word_cache_holds_normal_forms(g3, rd3):
+    # each cached entry is a flat map {(sorted word, gid, packed u-monomial):
+    # value}; read back in the c-variables (u_p = c_p / d_p) it must be the
+    # plain Fraction rewriting of its word
+    alg = S.SRAlgebra.omega_form(g3, rd3)
+    _session(alg, _halves, count=4)
+    assert len(alg._word_cache) > 20
+    for word, normal_form in alg._word_cache.items():
+        assert all(c != 0 for c in normal_form.values()), word
+        got = {}
+        for (m, g, key), c in normal_form.items():
+            e = S.unpack_key(key, alg.nparams)
+            weight = 1
+            for d, k in zip(alg.scales, e):
+                weight *= d**k
+            got.setdefault((m, g), {})[e] = Fraction(c) / weight
+        assert got == fraction_normal_form(alg, [([("v", v) for v in word],)]), word
 
 
 def test_no_float_reaches_a_term_map(g3, rd3):
