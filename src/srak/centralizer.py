@@ -7,9 +7,10 @@ over A once representatives of the left cosets H\\G are fixed (the
 representative of each coset is the element with minimal canonical
 matrix key, the identity coset first, so the realization is
 deterministic).  The module provides the coset idempotents, the group
-and invariant embeddings, recovery of an algebra from an embedded copy
-of the group-only centralizer, the smash-product realization, bimodule
-transport, the two lifted group actions, and derivation lifting.
+and invariant embeddings, the Morita witness and the smash-product
+realization.  Its coefficient rings are the subgroup's group algebra
+(``GroupAlgebraCoefficients``) and A0 # H (``SmashCoefficients``);
+``completion.TruncatedCoefficients`` supplies the truncated completion.
 
 The identity  u e(x) u^{-1} = e(x . u^{-1})  (right coset action) is the
 orientation that the left-module matrix realization of the defining
@@ -26,7 +27,7 @@ order it carries reaches the result.
 Everything is exact and side-effect free.
 """
 
-from .coeffs import R0, R1, rat
+from .coeffs import R0, R1
 from .coeffs import _kernel as K
 from . import linalg
 from .groups import mat_key
@@ -102,49 +103,6 @@ class CoefficientAlgebra:
         return all(self.eq(self.act(g, a), a) for g in parent_gids)
 
 
-class RationalCoefficients(CoefficientAlgebra):
-    """A = Q with the (necessarily trivial) subgroup image."""
-
-    def __init__(self, group):
-        self.group = group
-
-    def zero(self):
-        return R0
-
-    def one(self):
-        return R1
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def scale(self, r, a):
-        return r * a
-
-    def eq(self, a, b):
-        return a == b
-
-    def from_group(self, parent_gid):
-        return R1
-
-    def parent_inverse(self, parent_gid):
-        return self.group.inv[parent_gid]
-
-    def act(self, parent_gid, a):
-        return a
-
-    def basis(self):
-        return [R1]
-
-    def coords(self, a):
-        return (a,)
-
-
 class GroupAlgebraCoefficients(CoefficientAlgebra):
     """A = the group algebra of a subgroup (elements: dict parent-id -> Q)."""
 
@@ -193,116 +151,6 @@ class GroupAlgebraCoefficients(CoefficientAlgebra):
 
     def coords(self, a):
         return tuple(a.get(g, R0) for g in self.sub_ids)
-
-
-class PolyQuotientCoefficients(CoefficientAlgebra):
-    """A = Q[u]/(u^m) with trivial subgroup image (tuples of length m)."""
-
-    def __init__(self, group, m):
-        self.group = group
-        self.m = m
-
-    def zero(self):
-        return (R0,) * self.m
-
-    def one(self):
-        return (R1,) + (R0,) * (self.m - 1)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def mul(self, a, b):
-        out = [R0] * self.m
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if i + j < self.m and y:
-                    out[i + j] = out[i + j] + x * y
-        return tuple(out)
-
-    def scale(self, r, a):
-        return tuple(r * x for x in a)
-
-    def eq(self, a, b):
-        return a == b
-
-    def from_group(self, parent_gid):
-        return self.one()
-
-    def parent_inverse(self, parent_gid):
-        return self.group.inv[parent_gid]
-
-    def act(self, parent_gid, a):
-        return a
-
-    def basis(self):
-        eye = []
-        for i in range(self.m):
-            v = [R0] * self.m
-            v[i] = R1
-            eye.append(tuple(v))
-        return eye
-
-    def coords(self, a):
-        return tuple(a)
-
-    def derivative(self, a):
-        """Formal d/du.  Not a derivation of the quotient (it does not
-        preserve the truncation ideal); kept as the canonical bad input
-        for the Leibniz validator."""
-        out = [R0] * self.m
-        for i in range(1, self.m):
-            out[i - 1] = rat(i) * a[i]
-        return tuple(out)
-
-    def euler_derivation(self, a):
-        """u d/du, which preserves every monomial ideal and so descends."""
-        return tuple(rat(i) * a[i] for i in range(self.m))
-
-
-class SRACoefficients(CoefficientAlgebra):
-    """A = a PBW algebra of a subgroup, elements are its normal forms."""
-
-    def __init__(self, algebra, parent_group, to_parent):
-        # to_parent: subgroup-local id -> parent id (from groups.subgroup_group)
-        self.algebra = algebra
-        self.parent_group = parent_group
-        self.to_parent = list(to_parent)
-        self.from_parent = {p: i for i, p in enumerate(self.to_parent)}
-
-    def zero(self):
-        return self.algebra.zero()
-
-    def one(self):
-        return self.algebra.one()
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return self.algebra.multiply(a, b)
-
-    def scale(self, r, a):
-        return a.scale(r)
-
-    def eq(self, a, b):
-        return a == b
-
-    def from_group(self, parent_gid):
-        local = self.from_parent.get(parent_gid)
-        if local is None:
-            raise CentralizerError("element outside the coefficient subgroup")
-        return self.algebra.group_elt(local)
-
-    def parent_inverse(self, parent_gid):
-        return self.parent_group.inv[parent_gid]
 
 
 class CentralizerContext:
@@ -433,10 +281,6 @@ class CentralizerElement:
     def entry(self, i, j):
         return self.mat[i][j]
 
-    def corner(self):
-        """The (identity coset, identity coset) entry."""
-        return self.mat[0][0]
-
 
 def build_centralizer(group, sub_ids, A):
     return CentralizerContext(group, sub_ids, A)
@@ -484,57 +328,6 @@ def morita_witness(ctx):
         pairs.append((a, b))
         total = total + a * e0 * b
     return pairs, total == ctx.one()
-
-
-def corner_recover(ctx, iota_group, iota_e, mul, eq, b):
-    """Recover the matrix form of b in an algebra B containing the
-    group-only centralizer.
-
-    ``iota_group`` maps parent ids to B, ``iota_e`` is the image of the
-    identity-coset idempotent, ``mul``/``eq`` are B's operations.  The
-    recovered matrix has entries  e i(g_i) b i(g_j)^{-1} e  in the corner
-    algebra e B e.  Raises when the supplied images break the
-    group/idempotent relations they are required to satisfy: the group
-    law on the Cayley edges (``FiniteSymplecticGroup.cayley_edges``), with
-    i(1) a two-sided identity on ``iota_e`` and ``b``, so that the zero
-    map is refused.
-    """
-    G = ctx.group
-    for g, s, gs in G.cayley_edges():
-        if not eq(mul(iota_group[g], iota_group[s]), iota_group[gs]):
-            raise CentralizerError("supplied images fail the group relations")
-    unit = iota_group[0]
-    for x in (iota_e, b):
-        if not (eq(mul(unit, x), x) and eq(mul(x, unit), x)):
-            raise CentralizerError("supplied image of the identity does not act as the identity")
-    if not eq(mul(iota_e, iota_e), iota_e):
-        raise CentralizerError("supplied idempotent image is not idempotent")
-    for h in ctx.sub_ids:
-        if not eq(mul(iota_group[h], iota_e), mul(iota_e, iota_group[h])):
-            raise CentralizerError("supplied idempotent image does not commute with the subgroup")
-    rows = []
-    for i in range(ctx.k):
-        gi = iota_group[ctx.reps[i]]
-        row = []
-        for j in range(ctx.k):
-            gj_inv = iota_group[G.inv[ctx.reps[j]]]
-            row.append(mul(iota_e, mul(gi, mul(b, mul(gj_inv, iota_e)))))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def function_from_corner(ctx, iota_group, iota_e, mul, phi):
-    """The map  phi in B e  ->  (g -> e g phi)  from the recovery lemma."""
-    return {g: mul(iota_e, mul(iota_group[g], phi)) for g in range(ctx.group.order)}
-
-
-def corner_from_function(ctx, iota_group, mul, add, scale, zero, f):
-    """Inverse map:  f  ->  |H|^{-1} sum_g i(g)^{-1} f(g)."""
-    total = zero
-    G = ctx.group
-    for g in range(G.order):
-        total = add(total, mul(iota_group[G.inv[g]], f[g]))
-    return scale(rat(1, len(ctx.sub_ids)), total)
 
 
 # -- smash-product realization ---------------------------------------------
@@ -733,211 +526,3 @@ class SmashIso:
 def smash_iso(ctx, A):
     iso = SmashIso(ctx, A)
     return iso
-
-
-# -- bimodules ----------------------------------------------------------------
-
-
-class Bimodule:
-    """A-bimodule given by explicit operations on an element type."""
-
-    def __init__(self, A, zero, add, lact, ract, eq, basis=None, neg=None):
-        self.A = A
-        self.zero = zero
-        self.add = add
-        self.lact = lact
-        self.ract = ract
-        self.eq = eq
-        self.basis_list = basis
-        self.neg = neg if neg is not None else (lambda m: lact(A.neg(A.one()), m))
-
-    def validate(self, samples_a, samples_m):
-        for a in samples_a:
-            for b in samples_a:
-                for m in samples_m:
-                    left = self.lact(a, self.lact(b, m))
-                    right = self.lact(self.A.mul(a, b), m)
-                    if not self.eq(left, right):
-                        raise CentralizerError("left action is not associative on samples")
-                    left = self.ract(self.ract(m, a), b)
-                    right = self.ract(m, self.A.mul(a, b))
-                    if not self.eq(left, right):
-                        raise CentralizerError("right action is not associative on samples")
-                    if not self.eq(self.ract(self.lact(a, m), b), self.lact(a, self.ract(m, b))):
-                        raise CentralizerError("actions do not commute on samples")
-
-
-def regular_bimodule(A, sample_basis=None):
-    return Bimodule(A, A.zero(), A.add, A.mul, A.mul, A.eq, basis=sample_basis)
-
-
-class TransportedBimodule:
-    """k x k matrices over an A-bimodule, as a bimodule over the matrix algebra."""
-
-    def __init__(self, ctx, M):
-        self.ctx = ctx
-        self.M = M
-
-    def zero(self):
-        z = self.M.zero
-        return tuple(tuple(z for _ in range(self.ctx.k)) for _ in range(self.ctx.k))
-
-    def add(self, m1, m2):
-        return tuple(tuple(self.M.add(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2))
-
-    def lact(self, z, m):
-        k = self.ctx.k
-        out = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                acc = self.M.zero
-                for l in range(k):
-                    acc = self.M.add(acc, self.M.lact(z.mat[i][l], m[l][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
-
-    def ract(self, m, z):
-        k = self.ctx.k
-        out = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                acc = self.M.zero
-                for l in range(k):
-                    acc = self.M.add(acc, self.M.ract(m[i][l], z.mat[l][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
-
-    def eq(self, m1, m2):
-        return all(self.M.eq(x, y) for r1, r2 in zip(m1, m2) for x, y in zip(r1, r2))
-
-    def unit_matrix(self, m, i, j):
-        z = self.M.zero
-        return tuple(
-            tuple(m if (a, b) == (i, j) else z for b in range(self.ctx.k)) for a in range(self.ctx.k)
-        )
-
-    def corner(self, m):
-        return m[0][0]
-
-
-def bimodule_transport(ctx, M, samples_a=None, samples_m=None):
-    if samples_a and samples_m:
-        M.validate(samples_a, samples_m)
-    return TransportedBimodule(ctx, M)
-
-
-# -- lifted group actions ------------------------------------------------------
-
-
-class EquivariantActions:
-    """The two actions of a normalizing overgroup on the matrix algebra.
-
-    ``twisted``: conjugate the coset geometry and the coefficients; its
-    restriction to the subgroup is the adjoint action of the embedded
-    subgroup.  ``translation``: left-translate the coset geometry only;
-    the subgroup acts trivially, so this one factors through the
-    quotient.
-    """
-
-    def __init__(self, ctx, htilde_ids):
-        self.ctx = ctx
-        self.htilde_ids = sorted(htilde_ids)
-        G = ctx.group
-        sub = set(ctx.sub_ids)
-        if not G.is_subgroup(self.htilde_ids):
-            raise CentralizerError("the acting set is not a subgroup")
-        if not sub <= set(self.htilde_ids):
-            raise CentralizerError("the acting subgroup must contain the coefficient subgroup")
-        for ht in self.htilde_ids:
-            if {G.conjugate(ht, h) for h in sub} != sub:
-                raise CentralizerError("the subgroup is not normal in the acting subgroup")
-
-    def _basis_images(self, ht, translate_only):
-        """Structure data of the function transform: per row i the pair
-        (j, h) with transformed(rep i) = (ht . h-image) * (ht . f(rep j))."""
-        ctx = self.ctx
-        G = ctx.group
-        out = []
-        hti = G.inv[ht]
-        for i in range(ctx.k):
-            gi = ctx.reps[i]
-            src = G.mul(hti, gi) if translate_only else G.mul(G.mul(hti, gi), ht)
-            j = ctx.coset_of[src]
-            h = G.mul(src, G.inv[ctx.reps[j]])
-            out.append((j, h))
-        return out
-
-    def _apply_T(self, ht, images, coords):
-        """Apply the function transform with precomputed structure data to
-        coordinate columns {index: A-value}."""
-        A = self.ctx.A
-        out = {}
-        for i in range(self.ctx.k):
-            j, hcorr = images[i]
-            v = coords.get(j)
-            if v is None:
-                continue
-            val = A.mul(A.act(ht, A.from_group(hcorr)), A.act(ht, v))
-            if not A.is_zero(val):
-                out[i] = val
-        return out
-
-    def _transform(self, z, ht, translate_only):
-        """Matrix of  f -> ht . (z (ht^{-1} . f))  on coordinate columns."""
-        ctx = self.ctx
-        A = ctx.A
-        G = ctx.group
-        fw = self._basis_images(ht, translate_only)
-        bw = self._basis_images(G.inv[ht], translate_only)
-        k = ctx.k
-        z2 = [[A.zero()] * k for _ in range(k)]
-        for j in range(k):
-            vec = self._apply_T(G.inv[ht], bw, {j: A.one()})
-            zvec = {}
-            for i in range(k):
-                acc = A.zero()
-                for l, v in vec.items():
-                    acc = A.add(acc, A.mul(z.mat[i][l], v))
-                if not A.is_zero(acc):
-                    zvec[i] = acc
-            for i, v in self._apply_T(ht, fw, zvec).items():
-                z2[i][j] = v
-        return CentralizerElement(ctx, tuple(tuple(r) for r in z2))
-
-    def twisted(self, ht, z):
-        return self._transform(z, ht, translate_only=False)
-
-    def translation(self, ht, z):
-        return self._transform(z, ht, translate_only=True)
-
-
-def equivariant_action(ctx, htilde_ids):
-    return EquivariantActions(ctx, htilde_ids)
-
-
-def derivation_lift(ctx, D, samples=None):
-    """Entry-wise lift of a subgroup-linear derivation of A.
-
-    ``D`` maps A-elements to A-elements; Leibniz and vanishing on the
-    subgroup image are checked on the supplied samples.
-    """
-    A = ctx.A
-    if samples:
-        for a in samples:
-            for b in samples:
-                left = D(A.mul(a, b))
-                right = A.add(A.mul(D(a), b), A.mul(a, D(b)))
-                if not A.eq(left, right):
-                    raise CentralizerError("derivation fails the Leibniz rule on samples")
-    for h in ctx.sub_ids:
-        if not A.is_zero(D(A.from_group(h))):
-            raise CentralizerError("derivation does not kill the subgroup image")
-
-    def lifted(z):
-        return CentralizerElement(ctx, tuple(tuple(D(x) for x in row) for row in z.mat))
-
-    return lifted

@@ -276,9 +276,6 @@ class StandardModule:
     def zero(self):
         return {}
 
-    def lowest(self, comp=0):
-        return {((0,) * self.n, comp): ParamPoly.one(self.ch.nparams)}
-
     def monomial(self, exps, comp=0, coeff=None):
         p = coeff if coeff is not None else ParamPoly.one(self.ch.nparams)
         return {(tuple(exps), comp): p}
@@ -483,7 +480,7 @@ def determinant_character(ch):
     return {g: ((linalg.mat_det([list(r) for r in ch.group.h_block(g)]),),) for g in range(ch.group.order)}
 
 
-def packed_gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
+def packed_gram_tower(ch, cutoff, c_values=None, tau=None):
     """Pairing matrices B_d(f, g) = (f(D) g)(0) for d = 0..cutoff at t = 1,
     with packed Z[c] entries.
 
@@ -510,9 +507,8 @@ def packed_gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
     products gives the same values, as specialization is a ring
     homomorphism.
 
-    ``duals`` lists the y-coordinate vectors substituted for x_0..x_{n-1};
-    None means the dual basis vectors (``StandardModule.lowering_basis``).
-    Returns a list of (monomials, rows) per degree, with each row a
+    D_i is the lowering operator of the i-th dual basis vector
+    (``StandardModule.lowering_basis``).  Returns a list of (monomials, rows) per degree, with each row a
     sparse map {column: packed polynomial} that omits zero entries.
     """
     if cutoff < 0:
@@ -532,8 +528,7 @@ def packed_gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
         for i in range(n):
             cols = []
             for g in monos:
-                vec = mod.monomial(g)
-                vec = mod.lowering_basis(i, vec) if duals is None else mod.lowering(duals[i], vec)
+                vec = mod.lowering_basis(i, mod.monomial(g))
                 col = []
                 for (e, _), p in vec.items():
                     val = _packed_at_t1(p, fixed)
@@ -579,13 +574,13 @@ def _unpacked(m, nparams):
     return ParamPoly(nparams, {(0,) + unpack_key(key, nparams - 1): exact(a) for key, a in m.items()})
 
 
-def gram_tower(ch, cutoff, c_values=None, tau=None, duals=None):
+def gram_tower(ch, cutoff, c_values=None, tau=None):
     """``packed_gram_tower`` with its entries converted once to parameter
     polynomials: a list of (monomials, rows) per degree, rows dense, each
     entry a ``ParamPoly`` at t = 1 (constant where ``c_values`` names every
     orbit); see ``contravariant_gram``."""
     out = []
-    for monos, rows in packed_gram_tower(ch, cutoff, c_values=c_values, tau=tau, duals=duals):
+    for monos, rows in packed_gram_tower(ch, cutoff, c_values=c_values, tau=tau):
         dense = [[_unpacked(row.get(j, {}), ch.nparams) for j in range(len(monos))] for row in rows]
         out.append((monos, dense))
     return out
@@ -596,11 +591,10 @@ def contravariant_gram(ch, d, c_values=None, tau=None):
 
     f(D) substitutes the lowering operator of the dual basis vector for
     each coordinate.  In a basis that is not orthonormal for the
-    invariant metric this raw pairing need not be symmetric; the
-    congruent symmetric form (substituting metric duals instead) is
-    ``symmetric_contravariant_gram``.  The two differ by an invertible
-    change of rows, so ranks and kernels, which are all the scan
-    verdicts consume, agree.  B_0 = 1 in both conventions.
+    invariant metric this raw pairing need not be symmetric; it is
+    congruent to the symmetric form (metric duals substituted instead),
+    so its ranks and kernels, which are all the scan verdicts consume,
+    are those of the symmetric form.  B_0 = 1.
 
     Built by ``gram_tower``: the degree-d matrix comes from the
     degree-(d-1) one by peeling the lowest index of each row monomial,
@@ -614,18 +608,6 @@ def contravariant_gram(ch, d, c_values=None, tau=None):
     ``_monomials``.
     """
     return gram_tower(ch, d, c_values=c_values, tau=tau)[d]
-
-
-def symmetric_contravariant_gram(ch, d, c_values=None):
-    """The symmetric convention: substitute invariant-metric duals.
-
-    S(f, g) = (f(D-hat) g)(0) with D-hat_i the lowering operator along
-    the metric dual of the i-th coordinate; S_d is symmetric and
-    congruent to the raw pairing matrix of ``contravariant_gram``.
-    """
-    ginv = linalg.mat_inverse(G.invariant_metric(ch.group))
-    duals = [[row[i] for row in ginv] for i in range(ch.h_dim)]
-    return gram_tower(ch, d, c_values=c_values, duals=duals)[d]
 
 
 def gram_rank(rows):

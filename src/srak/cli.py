@@ -8,8 +8,8 @@ shorthand ``symmetric:<n>:<rep>``.  Reports are deterministic JSON on
 stdout (or --out); human summaries and timing go to stderr.  Exit codes:
 0 all verdicts pass, 1 some check failed, 2 parse/spec errors (among
 them ``ArityError``, an exponent vector of the wrong length or with a
-negative entry, a typea ``--slice-cutoff`` of 0 and a be-iso ``--order``
-below 2), 3 computational
+negative entry, a typea ``--slice-cutoff`` of 0, a be-iso ``--order``
+below 2 and a be-iso ``--c`` other than ``generic``), 3 computational
 precondition failures, 4 internal error (any other exception; its
 traceback goes to stderr).  No environment variable is consulted.
 """
@@ -276,12 +276,11 @@ def cmd_cherednik_typea(args):
 
 def cmd_be_iso_verify(args):
     t0 = time.time()
-    ch = _build_cherednik(args)
     if args.c != "generic":
-        # parameters stay symbolic in the engine; a numeric c is applied to
-        # the verification by specializing both sides, which the generic
-        # check subsumes.  Accept and note it.
-        parse_rational(args.c)
+        # the relations are checked with symbolic parameters; --c stays so
+        # that the report's command line names what was checked
+        raise CliParseError("be-iso verify checks generic parameters only, got --c %s" % args.c)
+    ch = _build_cherednik(args)
     b = [parse_rational(x) for x in args.b.split(",")]
     iso = CP.completion_iso(ch, b, args.order)
     rep = CP.verify_homomorphism(iso)

@@ -30,12 +30,7 @@ import math
 from fractions import Fraction
 
 from . import groups as G
-from .centralizer import (
-    CentralizerElement,
-    CoefficientAlgebra,
-    build_centralizer,
-    idempotent,
-)
+from .centralizer import CentralizerElement, CoefficientAlgebra, build_centralizer
 from .coeffs import ParamPoly, R0, R1, exact, rat
 from .sra import SRAlgebra, omega_kappa
 
@@ -295,47 +290,6 @@ class TruncatedCoefficients(CoefficientAlgebra):
         return self.parent_group.inv[parent_gid]
 
 
-# -- recentering -------------------------------------------------------------
-
-
-class RecenteredPresentation:
-    """The x-shift carrying the maximal ideal of a base point to zero."""
-
-    def __init__(self, algebra, shift):
-        self.algebra = algebra
-        self.shift = tuple(shift)
-
-    def apply(self, element):
-        """Substitute x_i -> x_i + shift_i (group and y parts untouched)."""
-        alg = self.algebra
-        out = alg.zero()
-        for (mono, gid), p in element.terms.items():
-            factors = alg.one()
-            for v in mono:
-                if v < alg.x_count and self.shift[v]:
-                    f = alg.gen(v) + alg.scalar(self.shift[v])
-                else:
-                    f = alg.gen(v)
-                factors = alg.multiply(factors, f)
-            factors = alg.multiply(factors, alg.group_elt(gid))
-            out = out + factors.scale(p)
-        return out
-
-    def compose(self, other):
-        return RecenteredPresentation(self.algebra, [a + b for a, b in zip(self.shift, other.shift)])
-
-
-def recenter(algebra, b):
-    """Recentered presentation at a base point b given by h-coordinates
-    (its pairings with the x-coordinates)."""
-    if algebra.x_count is None:
-        raise CompletionError("recentering needs a doubled algebra")
-    shift = [exact(v) for v in b]
-    if len(shift) != algebra.x_count:
-        raise CompletionError("base point has wrong dimension")
-    return RecenteredPresentation(algebra, shift)
-
-
 # -- the completion isomorphism ------------------------------------------------
 
 
@@ -361,21 +315,6 @@ class CompletionIso:
         self.x_images = x_images
         self.y_images = y_images
         self.mu = mu
-
-    def image_of_element(self, a):
-        """Image of a normal-form element (x-parts read as recentered)."""
-        acc = None
-        for (mono, gid), p in a.terms.items():
-            m = None
-            xc = self.ch.algebra.x_count
-            for v in mono:
-                factor = self.x_images[v] if v < xc else self.y_images[v - xc]
-                m = factor if m is None else m * factor
-            tail = self.w_images[gid]
-            m = tail if m is None else m * tail
-            m = _scale_matrix(m, p)
-            acc = m if acc is None else acc + m
-        return self.ctx.zero() if acc is None else acc
 
 
 def _scale_matrix(m, poly):
@@ -713,10 +652,3 @@ def equivariance_check(iso):
                     report["y_weight1"] = False
     report["pass"] = report["x_weight0"] and report["w_weight0"] and report["y_weight1"]
     return report
-
-
-def corner_extract(iso, a):
-    """Identity-coset corner of the image of a normal-form element."""
-    m = iso.image_of_element(a)
-    e0 = idempotent(iso.ctx, 0)
-    return (e0 * m * e0).corner()

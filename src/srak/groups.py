@@ -83,15 +83,6 @@ class FiniteSymplecticGroup:
             self._sort_keys = tuple(mat_key(m) for m in self.mats)
         return self._sort_keys
 
-    def inverse(self, i):
-        return self.inv[i]
-
-    def identity(self):
-        return 0
-
-    def matrix(self, i):
-        return self.mats[i]
-
     def conjugate(self, g, x):
         """Index of g x g^{-1}."""
         return self.mul(self.mul(g, x), self.inv[g])
@@ -123,13 +114,6 @@ class FiniteSymplecticGroup:
         replace the |G|^2 of the full group law.
         """
         return [(g, s, self.table[g][s]) for g in range(self.order) for s in self.generator_ids]
-
-    def element_order(self, i):
-        k, g = 1, i
-        while g != 0:
-            g = self.mul(g, i)
-            k += 1
-        return k
 
     # -- subgroup utilities -------------------------------------------
 
@@ -571,19 +555,3 @@ def group_from_spec(spec, max_order=DEFAULT_MAX_ORDER):
     dim_h = int(spec["dim_h"]) if "dim_h" in spec else None
     vgens, omega, h_dim = double_up(hgens, dim_h=dim_h)
     return generate_group(vgens, omega, max_order=max_order, h_dim=h_dim, gen_names=list(names))
-
-
-def invariant_metric(G):
-    """Group-invariant symmetric form on h: the average of g^T g over the
-    h-blocks.  Exact, rational, positive definite."""
-    if G.h_dim is None:
-        raise GroupError("group does not carry a doubled h-structure")
-    n = G.h_dim
-    total = [[R0] * n for _ in range(n)]
-    for w in range(G.order):
-        a = [list(r) for r in G.h_block(w)]
-        p = linalg.mat_mul(linalg.mat_transpose(a), a)
-        for i in range(n):
-            for j in range(n):
-                total[i][j] = total[i][j] + p[i][j]
-    return linalg.mat_scale(total, rat(1, G.order))

@@ -228,44 +228,6 @@ class RankTracker:
     def rank(self):
         return len(self.rows)
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-
-def span_equal(vectors_a, vectors_b):
-    """True when two families of vectors span the same subspace."""
-    ta = _reduced(vectors_a)
-    if ta.rank != _reduced(vectors_b).rank:
-        return False
-    return all(ta.contains(v) for v in vectors_b)
-
-
-def intersect_spans(vectors_a, vectors_b):
-    """Basis of span(A) ∩ span(B) via the kernel of the stacked system, as
-    ``{column: value}`` maps."""
-    a = [_as_map(v) for v in vectors_a]
-    b = [_as_map(v) for v in vectors_b]
-    if not a or not b:
-        return []
-    # one row per column the vectors occupy: its coefficients on A, then on B
-    na = len(a)
-    rows = {}
-    for i, v in enumerate(a):
-        for c, x in v.items():
-            rows.setdefault(c, {})[i] = x
-    for j, v in enumerate(b):
-        for c, x in v.items():
-            rows.setdefault(c, {})[na + j] = -x
-    out = []
-    tracker = RankTracker()
-    for combo in nullspace([rows[c] for c in sorted(rows)], na + len(b)):
-        vec = {}
-        for x, v in zip(combo, a):
-            K.maxpy(vec, v, x)
-        if vec and tracker.add(vec):
-            out.append(vec)
-    return out
-
 
 def clear_denominators(vec):
     """Scale a rational vector to integer entries with content 1.

@@ -967,33 +967,6 @@ def satake_corner_check(alg, basis, d, c_values=None):
     return {"injective": injective, "corner_dim": corner_dim, "basis_size": len(basis), "spans_corner": injective and corner_dim == len(basis)}
 
 
-def ideal_recovery_check(alg, basis, gens, d, c_values):
-    """Intersecting the two-sided span H*I with the center span recovers
-    the center-ideal span, in filtration degree <= d (specialized
-    parameters; evidence for the corner/center ideal correspondence)."""
-
-    def at(z):
-        return z.specialize(t=R0, c=c_values)
-
-    slots = {}
-    hi_vecs = []
-    for g in gens:
-        for deg in range(max(0, d - g.vdegree()) + 1):
-            for m in combinations_with_replacement(range(alg.nv), deg):
-                for gg in range(alg.group.order):
-                    h = SRAElement(alg, {(m, gg): ParamPoly.one(alg.nparams)})
-                    hi_vecs.append(_flatten(at(alg.multiply(h, g)), slots))
-    z_vecs = [_flatten(at(z), slots) for z in basis if z.vdegree() <= d]
-    zi_vecs = []
-    for g in gens:
-        gdeg = g.vdegree()
-        for z in basis:
-            if z.vdegree() + gdeg <= d:
-                zi_vecs.append(_flatten(at(alg.multiply(z, g)), slots))
-    inter = linalg.intersect_spans(hi_vecs, z_vecs)
-    return linalg.span_equal(inter, zi_vecs)
-
-
 # -- Poisson bracket --------------------------------------------------------
 
 
@@ -1015,29 +988,7 @@ def poisson_bracket(alg, z1, z2):
     return SRAElement(alg, out)
 
 
-# -- trace obstruction and the lattice gate ---------------------------------
-
-
-def trace_obstruction(dims_and_traces, m_list, c_list, t_value):
-    """Residuals  dim*t + sum_i n_i m_i c_i  per module datum.
-
-    A nonzero residual certifies that no finite-dimensional module with
-    those group traces exists at the given parameters (omega-form
-    normalization).
-    """
-    t_value = exact(t_value)
-    c_list = [exact(c) for c in c_list]
-    if len(m_list) != len(c_list):
-        raise AlgebraError("orbit count mismatch between weights and parameters")
-    out = []
-    for dim, traces in dims_and_traces:
-        if len(traces) != len(m_list):
-            raise AlgebraError("trace vector has wrong orbit count")
-        r = rat(dim) * t_value
-        for n_i, m_i, c_i in zip(traces, m_list, c_list):
-            r = r + n_i * m_i * c_i
-        out.append(r)
-    return out
+# -- the trace-obstruction lattice and its gate -----------------------------
 
 
 def simplicity_lattice(m_list, irreducibles):

@@ -162,15 +162,12 @@ def exhaustive_relations(iso):
     return verdicts
 
 
-def pairwise_gram(ch, d, c_values=None, tau=None, duals=None):
+def pairwise_gram(ch, d, c_values=None, tau=None):
     """Reference pairing matrix: B(f, g) = (f(D) g)(0) pair by pair, with
     f(D) applying every D_0 first, then D_1, ..., and specializing at t = 1
-    (and at ``c_values``) only at the end.  ``duals`` are the y-vectors
-    substituted for the coordinates; None means the dual basis."""
+    (and at ``c_values``) only at the end."""
     mod = CH.StandardModule(ch, tau=tau)
     n = ch.h_dim
-    if duals is None:
-        duals = [[R1 if j == i else R0 for j in range(n)] for i in range(n)]
     spec = {0: R1}
     for i, v in enumerate(c_values or ()):
         spec[i + 1] = rat(v) if isinstance(v, int) else v
@@ -182,7 +179,7 @@ def pairwise_gram(ch, d, c_values=None, tau=None, duals=None):
             vec = mod.monomial(g)
             for i in range(n):
                 for _ in range(f[i]):
-                    vec = mod.lowering(duals[i], vec)
+                    vec = mod.lowering_basis(i, vec)
             row.append(vec.get(((0,) * n, 0), ParamPoly.zero(ch.nparams)).specialize(spec))
         rows.append(row)
     return monos, rows
@@ -438,31 +435,3 @@ def reference_satake(alg, basis, d, c_values=None):
     corner_dim = dense_rank(dense_padded(corners, slots2), len(slots2))
     return {"injective": injective, "corner_dim": corner_dim, "basis_size": len(basis),
             "spans_corner": injective and corner_dim == len(basis)}
-
-
-def reference_ideal_recovery(alg, basis, gens, d, c_values):
-    """Reference ``sra.ideal_recovery_check``: span(H I) ∩ span(Z) from the
-    dense null space of the stacked dense columns, compared with span(Z I)
-    by dense ranks."""
-    from itertools import combinations_with_replacement
-
-    def at(z):
-        return _dense_specialize(z, R0, c_values)
-
-    hi = [at(alg.multiply(S.SRAElement(alg, {(m, gg): ParamPoly.one(alg.nparams)}), g))
-          for g in gens for deg in range(max(0, d - g.vdegree()) + 1)
-          for m in combinations_with_replacement(range(alg.nv), deg) for gg in range(alg.group.order)]
-    zs = [at(z) for z in basis if z.vdegree() <= d]
-    zi = [at(alg.multiply(z, g)) for g in gens for z in basis if z.vdegree() + g.vdegree() <= d]
-    slots = {}
-    vecs = dense_padded(hi + zs + zi, slots)
-    width = len(slots)
-    a, b, zi_vecs = vecs[: len(hi)], vecs[len(hi) : len(hi) + len(zs)], vecs[len(hi) + len(zs) :]
-    rows = [[v[c] for v in a] + [-v[c] for v in b] for c in range(width)]
-    inter = []
-    for combo in dense_nullspace(rows, len(a) + len(b)):
-        vec = [sum((x * v[c] for x, v in zip(combo, a)), R0) for c in range(width)]
-        if any(vec):
-            inter.append(vec)
-    r = dense_rank(inter, width)
-    return r == dense_rank(zi_vecs, width) == dense_rank(inter + zi_vecs, width)

@@ -84,7 +84,7 @@ def test_euler_element(ch2, ch3):
 
 def test_dunkl_examples(ch2):
     mod = CH.StandardModule(ch2)
-    lowest = mod.lowest()
+    lowest = mod.monomial((0,))
     assert mod.lowering_basis(0, lowest) == {}
     dx = mod.lowering_basis(0, mod.monomial((1,)))
     assert dx == {((0,), 0): ch2.algebra.parse("t - 2*c1").terms[((), 0)]}
@@ -166,36 +166,11 @@ def test_gram_b0_and_singular_vector(ch2):
     assert rows1[0][0] == ParamPoly.zero(2)
 
 
-def test_gram_symmetry_s3(ch3):
-    # the metric-dual convention is symmetric; the raw dual-basis pairing
-    # is congruent to it (equal ranks and kernels)
-    for d in range(4):
-        _, srows = CH.symmetric_contravariant_gram(ch3, d)
-        n = len(srows)
-        for i in range(n):
-            for j in range(n):
-                assert srows[i][j] == srows[j][i]
-    for c in [rat(1, 3), rat(2, 5)]:
-        for d in range(4):
-            _, braw = CH.contravariant_gram(ch3, d, c_values=[c])
-            _, bsym = CH.symmetric_contravariant_gram(ch3, d, c_values=[c])
-            assert CH.gram_rank(braw) == CH.gram_rank(bsym)
-
-
-def test_gram_rank_one_conventions_agree(ch2):
-    # the rank-one invariant metric is the identity, so both conventions
-    # coincide there
-    for d in range(5):
-        _, braw = CH.contravariant_gram(ch2, d)
-        _, bsym = CH.symmetric_contravariant_gram(ch2, d)
-        assert braw == bsym
-
-
-def _assert_tower_matches(ch, cutoff, c_values=None, tau=None, duals=None):
-    tower = CH.gram_tower(ch, cutoff, c_values=c_values, tau=tau, duals=duals)
+def _assert_tower_matches(ch, cutoff, c_values=None, tau=None):
+    tower = CH.gram_tower(ch, cutoff, c_values=c_values, tau=tau)
     assert len(tower) == cutoff + 1
     for d, level in enumerate(tower):
-        assert level == pairwise_gram(ch, d, c_values=c_values, tau=tau, duals=duals), d
+        assert level == pairwise_gram(ch, d, c_values=c_values, tau=tau), d
 
 
 @pytest.mark.parametrize("weight", ["trivial", "determinant"])
@@ -223,15 +198,6 @@ def test_gram_tower_keeps_operator_order(ch3):
     skew = CH.CherednikAlgebra(ch3.group, ch3.rdata, ch3.reflections[1:], ch3.algebra)
     assert not CH.module_relation_report(skew, 2)["y_commute"]
     _assert_tower_matches(skew, 4)
-
-
-def test_symmetric_gram_matches_pairwise(ch3):
-    from srak import linalg
-
-    ginv = linalg.mat_inverse(G.invariant_metric(ch3.group))
-    duals = [[row[i] for row in ginv] for i in range(ch3.h_dim)]
-    for d in range(6):
-        assert CH.symmetric_contravariant_gram(ch3, d) == pairwise_gram(ch3, d, duals=duals)
 
 
 def test_scan_lowering_count(ch3, monkeypatch):
@@ -300,7 +266,7 @@ def test_gram_kernel_is_lowering_stable(ch2, ch3):
                         if val:
                             coords[idx[e]] = val
                     if any(coords):
-                        assert span.contains(coords)
+                        assert not span.reduce(coords)
 
 
 def test_scan_n2_iff_half_integers(ch2):
@@ -466,7 +432,8 @@ def test_tau_validation_refuses_the_zero_map(ch3):
     # tau = 0 satisfies tau(g) tau(h) = tau(gh) but is no representation
     with pytest.raises(CH.CherednikError):
         CH.StandardModule(ch3, tau={g: ((0,),) for g in range(ch3.group.order)})
-    sign = {g: ((R1 if ch3.group.element_order(g) != 2 else rat(-1),),) for g in range(6)}
+    transpositions = G.symplectic_reflections(ch3.group).reflections
+    sign = {g: ((rat(-1) if g in transpositions else R1,),) for g in range(6)}
     CH.StandardModule(ch3, tau=sign)
     swapped = dict(sign)
     swapped[0], swapped[1] = sign[1], sign[0]

@@ -96,9 +96,11 @@ def test_scan_builtin_and_preset():
     ["be-iso", "verify", "--group", "symmetric:2:reflection", "--b", "1", "--order", "0"],
     ["be-iso", "verify", "--group", "symmetric:2:reflection", "--b", "1", "--order", "-2"],
     ["be-iso", "verify", "--group", "symmetric:2:reflection", "--b", "1", "--order", "1"],
+    ["be-iso", "verify", "--group", "symmetric:2:reflection", "--b", "1", "--c", "1/2", "--order", "3"],
 ], ids=["scan-cutoff", "typea-slice-cutoff", "typea-slice-cutoff-0", "scan-empty-c-list", "gram-deg", "center-deg",
         "expr-open-power", "expr-open-product", "expr-empty", "expr-open-paren", "mul-unknown-symbol",
-        "poisson-open-power", "expr-huge-exponent", "be-iso-order-0", "be-iso-order-negative", "be-iso-order-1"])
+        "poisson-open-power", "expr-huge-exponent", "be-iso-order-0", "be-iso-order-negative", "be-iso-order-1",
+        "be-iso-numeric-c"])
 def test_bad_input_exits_2(argv, capsys):
     try:
         code = cli.main(argv)

@@ -22,30 +22,6 @@ from conftest import (
 )
 
 
-def test_recenter_identity(ch2):
-    rc = CP.recenter(ch2.algebra, [R0])
-    a = ch2.algebra.parse("x*y + t - 2*c1*s")
-    assert rc.apply(a) == a
-
-
-def test_recenter_preserves_relations(ch2):
-    rc = CP.recenter(ch2.algebra, [R1])
-    x, y = ch2.x(0), ch2.y(0)
-    # commutators are unchanged by the shift: [y, x + 1] = [y, x]
-    lhs = rc.apply(y) * rc.apply(x) - rc.apply(x) * rc.apply(y)
-    assert lhs == y * x - x * y
-    assert rc.apply(x) == x + ch2.algebra.one()
-
-
-def test_recenter_double_shift(ch2):
-    rc = CP.recenter(ch2.algebra, [rat(5)])
-    rcneg = CP.recenter(ch2.algebra, [rat(-5)])
-    a = ch2.algebra.parse("x^3 + x*s - y*x")
-    assert rcneg.apply(rc.apply(a)) == a
-    combined = rc.compose(rcneg)
-    assert combined.apply(a) == a
-
-
 def test_geometric_inverse(ch2):
     iso = CP.completion_iso(ch2, [R1], 6)
     talg = iso.talg
@@ -154,29 +130,6 @@ def test_equivariance_weights(ch3):
     iso = CP.completion_iso(ch3, [rat(2), rat(1)], 4)
     eq = CP.equivariance_check(iso)
     assert eq["x_weight0"] and eq["w_weight0"] and eq["y_weight1"]
-
-
-def test_corner_extract_examples(ch2):
-    iso = CP.completion_iso(ch2, [R1], 6)
-    talg = iso.talg
-    alg = talg.algebra
-    one = CP.corner_extract(iso, ch2.algebra.one())
-    assert one.eq_mod(talg.one())
-    cx = CP.corner_extract(iso, ch2.x(0))
-    assert cx.eq_mod(talg.x_linear([R1], R1))  # recentered coordinate plus pairing constant
-    # corner of the grading element equals its formula on corner images
-    h = CH.euler_element(ch2)
-    ch_corner = CP.corner_extract(iso, h)
-    cy = CP.corner_extract(iso, ch2.y(0))
-    e0 = C.idempotent(iso.ctx, 0)
-    prod = (e0 * iso.x_images[0] * iso.y_images[0] * e0).corner()
-    srefl = CP.corner_extract(iso, ch2.group_elt(1))
-    direct = prod + talg.scalar(rat(1, 2)) - TElt_scale(srefl, ParamPoly.var(ch2.nparams, 1))
-    assert ch_corner.eq_mod(direct)
-
-
-def TElt_scale(telt, poly):
-    return CP.TElt(telt.parent, telt.value.scale(poly), telt.order)
 
 
 def test_truncation_coherence(ch2, ch3):

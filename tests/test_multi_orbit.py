@@ -128,9 +128,6 @@ def test_dihedral_trace_lattice():
     ]
     lat = S.simplicity_lattice(m, irr)
     assert lat == [(-R1, -R1), (-R1, R1), (R1, -R1), (R1, R1)]
-    res = S.trace_obstruction(irr, m, [rat(-1, 2), rat(-1, 2)], R1)
-    assert res[0] == R0  # trivial-type residual vanishes there
-    assert res[4] == rat(2)  # the planar character never cancels the dimension
     gate = S.lattice_gate(lat, [rat(1, 3), rat(2, 3)])
     assert gate["candidate_nonsimple"]  # c1 + c2 = 1
     gate = S.lattice_gate(lat, [rat(1, 3), rat(1, 5)])
