@@ -7,10 +7,11 @@ over A once representatives of the left cosets H\\G are fixed (the
 representative of each coset is the element with minimal canonical
 matrix key, the identity coset first, so the realization is
 deterministic).  The module provides the coset idempotents, the group
-and invariant embeddings, the Morita witness and the smash-product
-realization.  Its coefficient rings are the subgroup's group algebra
-(``GroupAlgebraCoefficients``) and A0 # H (``SmashCoefficients``);
-``completion.TruncatedCoefficients`` supplies the truncated completion.
+and invariant embeddings, the Morita witness and the rank count of the
+smash-product realization with A0 = Q.  Two coefficient rings implement
+``CoefficientAlgebra``: the subgroup's group algebra
+(``GroupAlgebraCoefficients``) and the truncated completion
+(``completion.TruncatedCoefficients``).
 
 The identity  u e(x) u^{-1} = e(x . u^{-1})  (right coset action) is the
 orientation that the left-module matrix realization of the defining
@@ -40,9 +41,8 @@ class CentralizerError(ValueError):
 class CoefficientAlgebra:
     """Interface the matrix layer needs from a coefficient algebra.
 
-    Implementations must be associative and unital; when the algebra
-    contains (an image of) the subgroup, ``from_group`` supplies it and
-    ``act`` defaults to conjugation by that image.
+    Implementations must be associative and unital, and ``from_group``
+    supplies the image of a subgroup element.
     """
 
     def zero(self):
@@ -56,9 +56,6 @@ class CoefficientAlgebra:
 
     def neg(self, a):
         raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -81,26 +78,6 @@ class CoefficientAlgebra:
     def from_group(self, parent_gid):
         """Image of a subgroup element (parent group id)."""
         raise NotImplementedError
-
-    def act(self, parent_gid, a):
-        """Action of a normalizing element; defaults to conjugation."""
-        g = self.from_group(parent_gid)
-        ginv = self.from_group(self.parent_inverse(parent_gid))
-        return self.mul(g, self.mul(a, ginv))
-
-    def parent_inverse(self, parent_gid):
-        raise NotImplementedError
-
-    def basis(self):
-        """Finite basis for rank computations, or None."""
-        return None
-
-    def coords(self, a):
-        """Coordinates of ``a`` over ``basis()``, or None."""
-        return None
-
-    def is_invariant(self, a, parent_gids):
-        return all(self.eq(self.act(g, a), a) for g in parent_gids)
 
 
 class GroupAlgebraCoefficients(CoefficientAlgebra):
@@ -143,14 +120,17 @@ class GroupAlgebraCoefficients(CoefficientAlgebra):
             raise CentralizerError("element outside the coefficient subgroup")
         return {parent_gid: R1}
 
-    def parent_inverse(self, parent_gid):
-        return self.group.inv[parent_gid]
-
     def basis(self):
         return [{g: R1} for g in self.sub_ids]
 
     def coords(self, a):
         return tuple(a.get(g, R0) for g in self.sub_ids)
+
+    def is_invariant(self, a, parent_gids):
+        """Whether conjugation by each of ``parent_gids`` fixes ``a``: it
+        moves the coefficient at h to g h g^-1."""
+        mul, inv = self.group.mul, self.group.inv
+        return all({mul(g, mul(h, inv[g])): x for h, x in a.items()} == a for g in parent_gids)
 
 
 class CentralizerContext:
@@ -158,12 +138,10 @@ class CentralizerContext:
 
     The identity coset comes first with the identity as its
     representative; every other coset is represented by its element of
-    minimal canonical matrix key.  ``reps_override`` (coset index ->
-    element id, applied after ordering) exists so tests can exercise
-    representative independence.
+    minimal canonical matrix key.
     """
 
-    def __init__(self, group, sub_ids, A, reps_override=None):
+    def __init__(self, group, sub_ids, A):
         self.group = group
         self.sub_ids = sorted(set(sub_ids))
         if not group.is_subgroup(self.sub_ids):
@@ -192,11 +170,6 @@ class CentralizerContext:
         for idx, coset in enumerate(self.cosets):
             for g in coset:
                 self.coset_of[g] = idx
-        if reps_override:
-            for idx, g in reps_override.items():
-                if self.coset_of[g] != idx:
-                    raise CentralizerError("override representative lies in the wrong coset")
-                self.reps[idx] = g
 
     def coset_act(self, idx, g):
         """Index of (coset idx) . g under right multiplication."""
@@ -278,9 +251,6 @@ class CentralizerElement:
         A = self.ctx.A
         return all(A.is_zero(x) for row in self.mat for x in row)
 
-    def entry(self, i, j):
-        return self.mat[i][j]
-
 
 def build_centralizer(group, sub_ids, A):
     return CentralizerContext(group, sub_ids, A)
@@ -330,199 +300,17 @@ def morita_witness(ctx):
     return pairs, total == ctx.one()
 
 
-# -- smash-product realization ---------------------------------------------
-
-
-class SmashCoefficients(CoefficientAlgebra):
-    """A = A0 # H for a finite-dimensional H-algebra A0.
-
-    A0 is described by a basis: unit vector, structure constants
-    (i, j) -> vector, and the action matrices of the subgroup elements.
-    Elements are dicts (parent gid) -> A0 coordinate tuple.
-    """
-
-    def __init__(self, group, sub_ids, a0_dim, a0_unit, a0_mul, a0_action):
-        self.group = group
-        self.sub_ids = sorted(sub_ids)
-        self.dim0 = a0_dim
-        self.a0_unit = tuple(a0_unit)
-        self.a0_mul = a0_mul  # dict (i, j) -> coordinate tuple
-        self.a0_action = a0_action  # dict parent gid -> matrix (list of rows)
-
-    def _a0_mul_vec(self, u, v):
-        out = [R0] * self.dim0
-        for i, x in enumerate(u):
-            if not x:
-                continue
-            for j, y in enumerate(v):
-                if not y:
-                    continue
-                sc = self.a0_mul[(i, j)]
-                for k_, c in enumerate(sc):
-                    if c:
-                        out[k_] = out[k_] + x * y * c
-        return tuple(out)
-
-    def _a0_act(self, g, v):
-        m = self.a0_action[g]
-        out = [R0] * self.dim0
-        for i in range(self.dim0):
-            for j in range(self.dim0):
-                if m[i][j] and v[j]:
-                    out[i] = out[i] + m[i][j] * v[j]
-        return tuple(out)
-
-    def zero(self):
-        return {}
-
-    def one(self):
-        return {0: self.a0_unit}
-
-    def a0_element(self, vec):
-        vec = tuple(vec)
-        return {0: vec} if any(vec) else {}
-
-    # tuple values, whose zero is not any(v): a truthiness test cannot see it,
-    # so add and mul merge by hand instead of through the term-map kernel
-    def add(self, a, b):
-        out = dict(a)
-        for g, v in b.items():
-            cur = out.get(g)
-            s = v if cur is None else tuple(x + y for x, y in zip(cur, v))
-            if any(s):
-                out[g] = s
-            else:
-                out.pop(g, None)
-        return out
-
-    def neg(self, a):
-        return {g: tuple(-x for x in v) for g, v in a.items()}
-
-    def mul(self, a, b):
-        out = {}
-        for g, u in a.items():
-            for h, v in b.items():
-                w = self._a0_mul_vec(u, self._a0_act(g, v))
-                if not any(w):
-                    continue
-                k = self.group.mul(g, h)
-                cur = out.get(k)
-                s = w if cur is None else tuple(x + y for x, y in zip(cur, w))
-                if any(s):
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
-
-    def scale(self, r, a):
-        if not r:
-            return {}
-        return {g: tuple(r * x for x in v) for g, v in a.items()}
-
-    def eq(self, a, b):
-        return a == b
-
-    def from_group(self, parent_gid):
-        if parent_gid not in self.sub_ids:
-            raise CentralizerError("element outside the coefficient subgroup")
-        return {parent_gid: self.a0_unit}
-
-    def parent_inverse(self, parent_gid):
-        return self.group.inv[parent_gid]
-
-    def basis(self):
-        out = []
-        for g in self.sub_ids:
-            for i in range(self.dim0):
-                v = [R0] * self.dim0
-                v[i] = R1
-                out.append({g: tuple(v)})
-        return out
-
-    def coords(self, a):
-        out = []
-        for g in self.sub_ids:
-            v = a.get(g)
-            for i in range(self.dim0):
-                out.append(v[i] if v is not None else R0)
-        return tuple(out)
-
-
-def trivial_a0(group, sub_ids):
-    """A0 = Q with the trivial subgroup action."""
-    return SmashCoefficients(
-        group,
-        sub_ids,
-        1,
-        (R1,),
-        {(0, 0): (R1,)},
-        {g: [[R1]] for g in sub_ids},
-    )
-
-
-class SmashIso:
-    """The two generator families of the smash realization.
-
-    theta(g) is right translation; theta(F), for an equivariant function
-    F: G -> A0 (given by its values on the coset representatives), is
-    the diagonal matrix of those values.
-    """
-
-    def __init__(self, ctx, A):
-        if not isinstance(A, SmashCoefficients):
-            raise CentralizerError("smash realization needs smash-product coefficients")
-        self.ctx = ctx
-        self.A = A
-
-    def theta_group(self, g):
-        return embed_group(self.ctx, g)
-
-    def theta_function(self, values):
-        """values: list of A0 coordinate tuples, one per coset representative."""
-        entries = [self.A.a0_element(v) for v in values]
-        return self.ctx.diagonal(entries)
-
-    def translate_function(self, values, g):
-        """(g . F)(g') = F(g' g): new value at rep i is h . F(rep target)."""
-        out = []
-        for i in range(self.ctx.k):
-            target = self.ctx.group.mul(self.ctx.reps[i], g)
-            j = self.ctx.coset_of[target]
-            h = self.ctx.group.mul(target, self.ctx.group.inv[self.ctx.reps[j]])
-            out.append(self.A._a0_act(h, tuple(values[j])))
-        return out
-
-    def domain_dimension(self):
-        return self.ctx.k * self.A.dim0 * self.ctx.group.order
-
-    def codomain_dimension(self):
-        return self.ctx.k * self.ctx.k * self.A.dim0 * len(self.ctx.sub_ids)
-
-    def image_rank(self):
-        """Rank of the span of theta(F_b) theta(g) over function-basis
-        elements and group elements; bijectivity needs this to equal both
-        dimensions."""
-        basis_vals = []
-        for i in range(self.ctx.k):
-            for l in range(self.A.dim0):
-                vals = [tuple(R0 for _ in range(self.A.dim0)) for _ in range(self.ctx.k)]
-                v = [R0] * self.A.dim0
-                v[l] = R1
-                vals[i] = tuple(v)
-                basis_vals.append(vals)
-        tracker = linalg.RankTracker()
-        for vals in basis_vals:
-            tf = self.theta_function(vals)
-            for g in range(self.ctx.group.order):
-                m = tf * self.theta_group(g)
-                flat = []
-                for row in m.mat:
-                    for x in row:
-                        flat.extend(self.A.coords(x))
-                tracker.add(flat)
-        return tracker.rank
-
-
-def smash_iso(ctx, A):
-    iso = SmashIso(ctx, A)
-    return iso
+def realization_rank(ctx):
+    """Rank of the smash realization with A0 = Q, where the indicator of
+    coset i maps to ``idempotent(ctx, i)`` and g to ``embed_group(ctx, g)``:
+    the rank of the products of the two over all i and g, in the
+    coordinates of the group-algebra coefficients.  The realization is
+    bijective when it equals both k |G| and k^2 |H|."""
+    A = ctx.A
+    tracker = linalg.RankTracker()
+    for i in range(ctx.k):
+        e = idempotent(ctx, i)
+        for g in range(ctx.group.order):
+            m = e * embed_group(ctx, g)
+            tracker.add([c for row in m.mat for x in row for c in A.coords(x)])
+    return tracker.rank

@@ -26,7 +26,6 @@ singular vectors through its kernel; total collapse of its rank detects
 finite-dimensional simple quotients.
 """
 
-from itertools import combinations_with_replacement
 from math import lcm
 
 from . import groups as G
@@ -34,6 +33,7 @@ from . import linalg
 from .coeffs import ParamPoly, R0, R1, exact, parse_rational, rat, rat_str
 from .coeffs import _kernel as K
 from .sra import SRAElement, SRAlgebra, pack_key, unpack_key
+from .sra import monomials as _monomials
 
 MODULE_LOWERING_SIGN = -1
 
@@ -389,11 +389,6 @@ def _shift(e, i, k=1):
     return e[:i] + (e[i] + k,) + e[i + 1 :]
 
 
-def _monomials(n, d):
-    """Exponent tuples of the degree-d monomials in n variables, sorted."""
-    return sorted(tuple(m.count(i) for i in range(n)) for m in combinations_with_replacement(range(n), d))
-
-
 def module_relation_report(ch, max_degree, tau=None):
     """Check every defining relation as operators on monomials up to degree.
 
@@ -605,7 +600,7 @@ def contravariant_gram(ch, d, c_values=None, tau=None):
     per group element); None means trivial.  Entries are parameter
     polynomials in the orbit parameters (or rationals when ``c_values``
     specializes them).  Row/column order is the sorted exponent order of
-    ``_monomials``.
+    ``sra.monomials``.
     """
     return gram_tower(ch, d, c_values=c_values, tau=tau)[d]
 

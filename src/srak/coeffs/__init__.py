@@ -62,8 +62,9 @@ def parse_rational(text):
 
 
 def rat_str(x):
-    """Serialize a rational as "p/q" ("p" when the denominator is 1)."""
-    return str(Fraction(x))
+    """Serialize a rational (an int or a ``Fraction``) as "p/q" ("p" when
+    the denominator is 1)."""
+    return str(x)
 
 
 class ArityError(ValueError):
@@ -157,9 +158,6 @@ class ParamPoly:
         _check_arity(self, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if is_rational(other):
             return ParamPoly(self.arity, K.mscale(self.terms, exact(other)))
@@ -202,9 +200,6 @@ class ParamPoly:
     def const_value(self):
         """Coefficient of the constant monomial."""
         return self.terms.get((0,) * self.arity, R0)
-
-    def coefficient(self, exponents):
-        return self.terms.get(tuple(exponents), R0)
 
     # -- the operations the rest of the package needs -----------------
 
@@ -267,9 +262,9 @@ class ParamPoly:
             body = "*".join(factors)
             cs = rat_str(c)
             if body:
-                if c == R1:
+                if cs == "1":
                     term = body
-                elif c == -R1:
+                elif cs == "-1":
                     term = "-" + body
                 else:
                     term = cs + "*" + body

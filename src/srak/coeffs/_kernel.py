@@ -26,11 +26,9 @@ part multiplied on the right by one element through the Cayley table.
 Callers: ``ParamPoly`` arithmetic, PBW normal ordering (``sra``), the
 Dunkl module vectors and pairing matrices (``cherednik``), group-algebra
 coefficients (``centralizer.GroupAlgebraCoefficients``) and the sparse
-rows of the elimination (``linalg.RankTracker``).  Two loops stay outside
+rows of the elimination (``linalg.RankTracker``).  One loop stays outside
 on purpose: ``SRAlgebra._gexpand``, the PBW hot loop, where building a
-map per word costs measurably more than the merge; and
-``centralizer.SmashCoefficients``, whose values are tuples with zero
-``not any(v)``, which a truthiness test cannot see.
+map per word costs measurably more than the merge.
 """
 
 

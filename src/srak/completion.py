@@ -89,10 +89,6 @@ class TruncatedAlgebra:
         self._prims.append((value, value.xdegree(), value.ydegree()))
         return lam, pid
 
-    def elt(self, sra_element, order=None):
-        o = self.order if order is None else order
-        return TElt(self, sra_element.truncate_x(o), o)
-
     def zero(self):
         """The exact zero, one shared instance (elements are immutable)."""
         return self._zero
@@ -246,9 +242,8 @@ class TruncatedCoefficients(CoefficientAlgebra):
     """Coefficient-algebra adapter so the coset-matrix layer can run over
     a truncated completed algebra."""
 
-    def __init__(self, talg, parent_group, to_parent):
+    def __init__(self, talg, to_parent):
         self.talg = talg
-        self.parent_group = parent_group
         self.to_parent = list(to_parent)
         self.from_parent = {p: i for i, p in enumerate(self.to_parent)}
 
@@ -285,9 +280,6 @@ class TruncatedCoefficients(CoefficientAlgebra):
         if local is None:
             raise CompletionError("element outside the coefficient subgroup")
         return self.talg.group_elt(local)
-
-    def parent_inverse(self, parent_gid):
-        return self.parent_group.inv[parent_gid]
 
 
 # -- the completion isomorphism ------------------------------------------------
@@ -370,7 +362,7 @@ def completion_iso_with_mu(ch, b, order, mu):
         mu = convention_solve(ch)
     alg_sub, sub, to_parent = subalgebra_presentation(ch, sub_ids, mu)
     talg = TruncatedAlgebra(alg_sub, order)
-    coeffs = TruncatedCoefficients(talg, ch.group, to_parent)
+    coeffs = TruncatedCoefficients(talg, to_parent)
     ctx = build_centralizer(ch.group, sub_ids, coeffs)
     grp = ch.group
 

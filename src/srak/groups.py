@@ -229,17 +229,23 @@ def generate_group(generators, omega, max_order=DEFAULT_MAX_ORDER, h_dim=None, g
         table.append(row)
     inv = [row.index(0) for row in table]
     gen_ids = [index[g] for g in gens]
-    # conjugacy classes: orbits under conjugation by the generators
-    seen = [False] * k
+    classes = _conjugacy_classes(table, inv, gen_ids)
+    return FiniteSymplecticGroup(dim, om, mats, table, inv, classes, gen_ids, h_dim=h_dim, gen_names=gen_names)
+
+
+def _conjugacy_classes(table, inv, gens):
+    """Orbits under conjugation by the elements ``gens`` (generators of the
+    group, or all of it), each sorted, in the order of their least ids."""
+    seen = [False] * len(table)
     classes = []
-    for i in range(k):
+    for i in range(len(table)):
         if seen[i]:
             continue
         orbit = {i}
         stack = [i]
         while stack:
             x = stack.pop()
-            for g in gen_ids:
+            for g in gens:
                 y = table[table[g][x]][inv[g]]
                 if y not in orbit:
                     orbit.add(y)
@@ -247,7 +253,7 @@ def generate_group(generators, omega, max_order=DEFAULT_MAX_ORDER, h_dim=None, g
         for x in orbit:
             seen[x] = True
         classes.append(tuple(sorted(orbit)))
-    return FiniteSymplecticGroup(dim, om, mats, table, inv, classes, gen_ids, h_dim=h_dim, gen_names=gen_names)
+    return classes
 
 
 def subgroup_group(G, ids):
@@ -266,23 +272,7 @@ def subgroup_group(G, ids):
     mats = tuple(G.mats[g] for g in order)
     table = [[pos[G.mul(order[i], order[j])] for j in range(k)] for i in range(k)]
     inv = [pos[G.inv[g]] for g in order]
-    seen = [False] * k
-    classes = []
-    for i in range(k):
-        if seen[i]:
-            continue
-        orbit = {i}
-        stack = [i]
-        while stack:
-            x = stack.pop()
-            for g in range(k):
-                y = table[table[g][x]][inv[g]]
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(sorted(orbit)))
+    classes = _conjugacy_classes(table, inv, range(k))
     sub = FiniteSymplecticGroup(G.dim, G.omega, mats, table, inv, classes, list(range(1, k)), h_dim=G.h_dim)
     return sub, order
 
@@ -353,10 +343,6 @@ def symplectic_reflections(G):
             orbits.append(tuple(inter))
     orbits.sort(key=lambda orb: orb[0])
     return ReflectionData(G, tuple(sorted(refl)), tuple(orbits), proj, oms)
-
-
-def omega_s_eval(rdata, s, x, y):
-    return rdata.omega_s_eval(s, x, y)
 
 
 def reflection_weight(G, rdata, orbit_index):

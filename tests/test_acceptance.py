@@ -87,14 +87,16 @@ def test_criterion_02_centralizer_identities(g2, g3):
                 ok = ok and da * e == e * da
         _, morita_ok = C.morita_witness(ctx)
         ok = ok and morita_ok
-    A0 = C.trivial_a0(g3, sub32)
-    ctx = C.build_centralizer(g3, sub32, A0)
-    iso = C.smash_iso(ctx, A0)
-    ok = ok and iso.domain_dimension() == 18 == iso.codomain_dimension()
-    ok = ok and iso.image_rank() == 18
+    # smash realization with A0 = Q over the group-algebra coefficients
+    ctx = C.build_centralizer(g3, sub32, C.GroupAlgebraCoefficients(g3, sub32))
+    ok = ok and ctx.k * g3.order == 18 == ctx.k * ctx.k * len(sub32)
+    ok = ok and C.realization_rank(ctx) == 18
     for g in range(6):
         for h in range(6):
-            ok = ok and iso.theta_group(g) * iso.theta_group(h) == iso.theta_group(g3.mul(g, h))
+            ok = ok and C.embed_group(ctx, g) * C.embed_group(ctx, h) == C.embed_group(ctx, g3.mul(g, h))
+        for i in range(ctx.k):
+            lhs = C.embed_group(ctx, g) * C.idempotent(ctx, i) * C.embed_group(ctx, g3.inv[g])
+            ok = ok and lhs == C.idempotent(ctx, ctx.coset_act(i, g3.inv[g]))
     cr.finish(ok)
 
 

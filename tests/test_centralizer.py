@@ -150,27 +150,29 @@ def test_morita_witness(g2, g3):
 
 
 def test_smash_realization(g3):
+    # A0 = Q: theta(g) = embed_group, theta(indicator of coset i) = idempotent
     sub = s2_in_s3(g3)
-    A0 = C.trivial_a0(g3, sub)
-    ctx = C.build_centralizer(g3, sub, A0)
-    iso = C.smash_iso(ctx, A0)
-    assert iso.domain_dimension() == 18
-    assert iso.codomain_dimension() == 18
-    assert iso.image_rank() == 18
+    ctx = C.build_centralizer(g3, sub, C.GroupAlgebraCoefficients(g3, sub))
+    assert ctx.k * g3.order == 18
+    assert ctx.k * ctx.k * len(sub) == 18
+    assert C.realization_rank(ctx) == 18
     # identity goes to identity
-    vals = [(R1,)] * ctx.k
-    assert iso.theta_function(vals) * iso.theta_group(0) == ctx.one()
+    total = ctx.zero()
+    for i in range(ctx.k):
+        total = total + C.idempotent(ctx, i)
+    assert total * C.embed_group(ctx, 0) == ctx.one()
     # multiplicativity and the translation action, exhaustively
     for g in range(6):
         for h in range(6):
-            assert iso.theta_group(g) * iso.theta_group(h) == iso.theta_group(g3.mul(g, h))
+            assert C.embed_group(ctx, g) * C.embed_group(ctx, h) == C.embed_group(ctx, g3.mul(g, h))
     for g in range(6):
         for i in range(ctx.k):
-            vals = [(R0,)] * ctx.k
-            vals[i] = (R1,)
-            lhs = iso.theta_group(g) * iso.theta_function(vals) * iso.theta_group(g3.inv[g])
-            rhs = iso.theta_function(iso.translate_function(vals, g))
-            assert lhs == rhs
+            lhs = C.embed_group(ctx, g) * C.idempotent(ctx, i) * C.embed_group(ctx, g3.inv[g])
+            # (g . F)(g') = F(g' g): the translate is the indicator of the
+            # coset that g sends to coset i
+            translate = [j for j in range(ctx.k) if ctx.coset_act(j, g) == i]
+            assert translate == [ctx.coset_act(i, g3.inv[g])]
+            assert lhs == C.idempotent(ctx, translate[0])
 
 
 def test_change_of_representatives_is_conjugation(g3):
@@ -179,11 +181,12 @@ def test_change_of_representatives_is_conjugation(g3):
     sub = s2_in_s3(g3)
     A = C.GroupAlgebraCoefficients(g3, sub)
     ctx = C.build_centralizer(g3, sub, A)
+    ctx2 = C.build_centralizer(g3, sub, A)
     h1 = [h for h in sub if h != 0][0]
-    override = {}
     for idx in range(1, ctx.k):
-        override[idx] = g3.mul(h1, ctx.reps[idx])
-    ctx2 = C.CentralizerContext(g3, sub, A, reps_override=override)
+        rep = g3.mul(h1, ctx.reps[idx])
+        assert rep != ctx.reps[idx] and ctx.coset_of[rep] == idx
+        ctx2.reps[idx] = rep
     # transition: coordinates at the new reps are h-corrections of the old
     trans = ctx.diagonal([A.from_group(g3.mul(ctx2.reps[i], g3.inv[ctx.reps[i]])) for i in range(ctx.k)])
     trans_inv = ctx.diagonal([A.from_group(g3.inv[g3.mul(ctx2.reps[i], g3.inv[ctx.reps[i]])]) for i in range(ctx.k)])
@@ -195,6 +198,21 @@ def test_change_of_representatives_is_conjugation(g3):
     # idempotents are representative independent outright
     for x in range(ctx.k):
         assert [list(r) for r in C.idempotent(ctx, x).mat] == [list(r) for r in C.idempotent(ctx2, x).mat]
+
+
+def test_is_invariant_matches_conjugation(g3):
+    # the key-conjugating test agrees with g a g^-1 == a through the ring's
+    # own product, on basis elements and conjugacy-class sums
+    for sub in (s2_in_s3(g3), list(range(6))):
+        A = C.GroupAlgebraCoefficients(g3, sub)
+        samples = list(A.basis())
+        local, to_parent = G.subgroup_group(g3, sub)
+        samples += [{to_parent[x]: R1 for x in cls} for cls in local.classes]
+        assert any(not A.is_invariant(a, sub) for a in samples) == (len(sub) == 6)
+        for a in samples:
+            for g in sub:
+                conj = A.mul(A.from_group(g), A.mul(a, A.from_group(g3.inv[g])))
+                assert A.is_invariant(a, [g]) == (conj == a)
 
 
 def _sparse_samples(ctx, extra):

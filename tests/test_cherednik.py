@@ -5,6 +5,7 @@ import pytest
 
 from srak import cherednik as CH
 from srak import groups as G
+from srak import sra as S
 from srak.coeffs import ParamPoly, R0, R1, parse_rational, rat
 from srak.selftest import tampered_cherednik
 
@@ -106,7 +107,7 @@ def test_monomials_match_brute_force():
     for n in range(1, 5):
         for d in range(6):
             brute = sorted(e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d)
-            assert CH._monomials(n, d) == brute
+            assert S.monomials(n, d) == brute
 
 
 def test_module_relations_and_commutativity(ch2, ch3):

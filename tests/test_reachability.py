@@ -4,9 +4,12 @@ perfbench.
 A name-based pass over the syntax trees.  The roots are the module-level
 code of every srak module (the CLI entry point and its parser wiring among
 it) and all of perfbench/*.py; tests are not roots.  A module-level def or
-class is reached when its name is used in reached code, a method when its
-class is reached and its name is used (dunders with their class).  Names,
-attribute names, imported names and string constants count as uses.
+class is reached when its name is used in reached code: as a name, an
+attribute name, an imported name or a string constant.  A method is
+reached when its class is reached and its name is used as an attribute
+name or a string constant (dunders with their class); a bare name of the
+same spelling is some other binding, so a method does not hide behind a
+local variable or a module-level function that shares its name.
 """
 
 import ast
@@ -25,18 +28,20 @@ ALLOWED = {
 
 
 def _uses(nodes):
-    out = set()
+    """The names used in ``nodes``, as a pair: (bare and imported names,
+    attribute names and string constants)."""
+    names, attrs = set(), set()
     for node in nodes:
         for n in ast.walk(node):
             if isinstance(n, ast.Name):
-                out.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                out.add(n.attr)
+                names.add(n.id)
             elif isinstance(n, ast.alias):
-                out.add(n.name.rpartition(".")[2])
+                names.add(n.name.rpartition(".")[2])
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-                out.add(n.value)
-    return out
+                attrs.add(n.value)
+    return names, attrs
 
 
 def _definitions(path):
@@ -66,17 +71,23 @@ def unreached():
         roots += loose
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         roots.append(ast.parse(path.read_text(encoding="utf-8")))
-    used, reached = _uses(roots), set()
+    (names, attrs), reached = _uses(roots), set()
     grown = True
     while grown:
         grown = False
         for qual, name, owner, nodes in defs:
-            dunder = name.startswith("__") and name.endswith("__")
-            if qual in reached or (owner is not None and owner not in reached):
+            if qual in reached:
                 continue
-            if name in used or (owner is not None and dunder):
+            if owner is None:
+                hit = name in names or name in attrs
+            else:
+                dunder = name.startswith("__") and name.endswith("__")
+                hit = owner in reached and (dunder or name in attrs)
+            if hit:
                 reached.add(qual)
-                used |= _uses(nodes)
+                more_names, more_attrs = _uses(nodes)
+                names |= more_names
+                attrs |= more_attrs
                 grown = True
     return sorted(qual for qual, _, _, _ in defs if qual not in reached)
 
