@@ -751,11 +751,6 @@ def spherical_idempotent(alg):
     return SRAElement(alg, {((), g): ParamPoly.const(alg.nparams, scale) for g in range(alg.group.order)})
 
 
-def spherical_corner(alg, a):
-    e = spherical_idempotent(alg)
-    return alg.multiply(alg.multiply(e, a), e)
-
-
 # -- center computation -----------------------------------------------------
 
 
@@ -810,10 +805,105 @@ def _flatten(elt, slots):
     return vec
 
 
+def conjugation_sum(alg, elt, gids):
+    """sum over g in ``gids`` of g * elt * g^-1, with no product rewritten,
+    as a flat map {(word, gid, packed u-monomial): value} in the
+    u-variables of the rewriting core (``_from_u`` turns it into terms).
+
+    g (m, h) g^-1 = (g . m) g h g^-1, and ``_gmono_normal(g, m)`` caches the
+    normal form of g . m: each of its terms (word, h', u^k) gives the term
+    (word, h' g h g^-1, u^k).  In a doubled algebra the x's commute with
+    each other and so do the y's, so that normal form only sorts.  Raises
+    AlgebraError when a parameter exponent could reach 2^PACK_BITS.
+    """
+    table, inv = alg.group.table, alg.group.inv
+    out = {}
+    for (m, h), p in elt.terms.items():
+        pu, top = alg._to_u(p.terms)
+        # each kappa step removes two letters, as in ``multiply``
+        if top + alg._kappa_exp * (len(m) // 2) >= _FIELD:
+            raise AlgebraError("a parameter exponent of this conjugate could reach 2^%d" % PACK_BITS)
+        for g in gids:
+            K.pbw_addmul(out, alg._gmono_normal(g, m), pu, 1, table, table[table[g][h]][inv[g]])
+    return out
+
+
+def _bracket(alg, z, i):
+    """[z, v_i] as a flat map in the u-variables, for z given as
+    {(word, gid): packed polynomial}: z v_i moves v_i left past each term's
+    group part (a column of its matrix), v_i z puts it in front.  The
+    caller bounds the exponents (``center_basis``)."""
+    table = alg.group.table
+    out = {}
+    for (m, h), pu in z.items():
+        for l, q in alg._column(h, i):
+            K.pbw_addmul(out, alg._word_normal(m + (l,)), pu, q, table, h)
+        K.pbw_addmul(out, alg._word_normal((i,) + m), pu, -1, table, h)
+    return out
+
+
+def _specializer(alg, t, c_values):
+    """A memoized map from a packed u-monomial u^e to (e with the
+    substituted variables set to 0, the factor that turns its coefficient
+    into that of c^e with the substitution made).  As in
+    ``SRAElement.specialize``, t and the orbit parameters are substituted
+    unless None."""
+    values = {} if t is None else {0: exact(t)}
+    if c_values is not None:
+        if len(c_values) != alg.nparams - 1:
+            raise AlgebraError("expected %d orbit parameters" % (alg.nparams - 1))
+        for i, v in enumerate(c_values):
+            values[i + 1] = exact(v)
+    memo = {}
+
+    def spec(key):
+        hit = memo.get(key)
+        if hit is None:
+            e = list(unpack_key(key, alg.nparams))
+            f = Fraction(1, alg._pack(tuple(e))[1])
+            for p, v in values.items():
+                if e[p]:
+                    f *= v ** e[p]
+                    e[p] = 0
+            hit = memo[key] = (tuple(e), _lower(f))
+        return hit
+
+    return spec
+
+
+def _coords(flat, slots, spec):
+    """A flat map in the u-variables, specialized by ``spec``
+    (``_specializer``), as a sparse map {slot index: value} over
+    (word, gid, exponents) slots; a slot met for the first time is
+    appended to ``slots``."""
+    vec = {}
+    for (m, g, k), x in flat.items():
+        e, f = spec(k)
+        if f:
+            key = (m, g, e)
+            idx = slots.get(key)
+            if idx is None:
+                slots[key] = idx = len(slots)
+            vec[idx] = vec.get(idx, 0) + (x * f if f != 1 else x)
+    return {i: x for i, x in vec.items() if x}
+
+
 def _test_elements(alg):
-    """The basis vectors and the group generators: an element is central
-    exactly when it commutes with each of them."""
-    return [alg.gen(i) for i in range(alg.nv)] + [alg.group_elt(g) for g in alg.group.generator_ids]
+    """The indices i of the basis vectors v_i whose orbits under the group
+    span V, taken greedily in index order: v_i is taken when it is not in
+    the span of the orbits of those taken before.  An element of H^W that
+    commutes with v commutes with w v w^-1 = w . v for every w, so on H^W
+    commuting with these is commuting with V.  For S_n on h (reflection or
+    permutation) that is one x and one y; the product of two rank-one
+    groups needs all four vectors."""
+    span = linalg.RankTracker()
+    out = []
+    for i in range(alg.nv):
+        if span.reduce({i: R1}):
+            out.append(i)
+            for g in range(alg.group.order):
+                span.add(dict(alg._column(g, i)))
+    return out
 
 
 class CenterBasis:
@@ -840,44 +930,101 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
     to work with symbolic parameters (module basis over the parameter
     ring).  ``include_t`` keeps t symbolic instead of pinning it (used by
     the generic-center cross-check).
+
+    The solve runs on H^W: a central element commutes with W, so it is the
+    image of itself under the Reynolds operator z -> sum_g g z g^-1 (up to
+    1/|W|).  The unknowns are the independent Reynolds images of the
+    coordinate keys (``conjugation_sum``, no product rewritten); a key
+    whose group part is not its class's least element is skipped, since
+    the images of (m, h) and of the (m', k h k^-1) span the same space.
+    On H^W commuting with V is commuting with ``_test_elements``.  The null
+    vectors are mapped back to key coordinates and reduced with each pivot
+    at the highest key, which re-derives the ``linalg.nullspace`` basis of
+    the key-by-key system (1 in its own free key, 0 in the other free
+    keys): that basis depends only on the null space and the key order.
+    Raises AlgebraError when conjugation leaves the span of the keys (a
+    commutator table that is not homogeneous in the scaling weight).
     """
     if t_value is None:
         t_value = R0
-    test_elts = _test_elements(alg)
-    t = None if include_t else t_value
+    # the keys carry parameter exponents <= d // 2, and each kappa step of a
+    # conjugate or of a bracket with one letter removes two letters
+    if d // 2 + alg._kappa_exp * ((d + 1) // 2) >= _FIELD:
+        raise AlgebraError("a parameter exponent of the degree-%d center could reach 2^%d" % (d, PACK_BITS))
+    spec = _specializer(alg, None if include_t else t_value, c_values)
+    reps = {cls[0] for cls in alg.group.classes}
+    everything = range(alg.group.order)
+    table, inv = alg.group.table, alg.group.inv
+    # [z, v] is invariant under the stabilizer S of v when z is in H^W, so
+    # (as for the unknowns) it vanishes when its terms vanish at one group
+    # element of each orbit of S acting on the group by conjugation
+    tests = []
+    for i in _test_elements(alg):
+        stab = [g for g in everything if alg._column(g, i) == ((i, 1),)]
+        tests.append((i, {h for h in everything if h == min(table[table[g][h]][inv[g]] for g in stab)}))
 
-    def commute_vec(z, slots):
-        return [_flatten(z.commutator(u).specialize(t=t, c=c_values), slots) for u in test_elts]
-
-    def central_combinations(basis_elts):
-        # one column per basis element, stacking its commutators with every
-        # test element; each null vector, with denominators cleared, gives
-        # a central combination.  The columns are transposed into one
-        # sparse row per (test element, slot) that occurs, shortest first:
-        # the RREF does not depend on the row order, and a row with one
-        # entry settles its column before longer rows can fill it in
+    def central_combinations(keys):
+        index = {k: i for i, k in enumerate(keys)}
+        images, vecs = [], []
+        tracker = linalg.RankTracker()
+        for k in keys:
+            h = k[1]
+            if h not in reps:
+                continue
+            flat = conjugation_sum(alg, _key_element(alg, k), everything)
+            # independence shows on the terms at the class representatives:
+            # the top-degree part of a W-invariant element at k h k^-1 is
+            # k . (its part at h), so one that vanishes there is 0
+            if not tracker.add(_coords({key: x for key, x in flat.items() if key[1] == h}, index, spec)):
+                continue
+            z = {}
+            for (m, g, u), x in flat.items():
+                poly = z.get((m, g))
+                if poly is None:
+                    z[(m, g)] = poly = {}
+                poly[u] = x
+            images.append(z)
+            vecs.append(_coords(flat, index, spec))
+        if len(index) > len(keys):
+            raise AlgebraError("conjugation leaves the span of the degree-%d keys" % d)
+        # one column per image, stacking its brackets with every test
+        # vector, transposed into one sparse row per (test vector, slot)
+        # that occurs; each distinct row once (columns fill in ascending
+        # order, so equal rows list their items alike), shortest first: the
+        # RREF does not depend on the row order, and a row with one entry
+        # settles its column before longer rows can fill it in
         slots = {}
-        by_test = [{} for _ in test_elts]
-        for j, z in enumerate(basis_elts):
-            for rows, vec in zip(by_test, commute_vec(z, slots)):
-                for slot, x in vec.items():
+        by_test = [{} for _ in tests]
+        for j, z in enumerate(images):
+            for rows, (i, seen) in zip(by_test, tests):
+                flat = {key: x for key, x in _bracket(alg, z, i).items() if key[1] in seen}
+                for slot, x in _coords(flat, slots, spec).items():
                     row = rows.get(slot)
                     if row is None:
                         rows[slot] = row = {}
                     row[j] = x
-        matrix_rows = sorted((rows[slot] for rows in by_test for slot in sorted(rows)), key=len)
+        distinct = {tuple(row.items()): row for rows in by_test for row in rows.values()}
+        matrix_rows = sorted(distinct.values(), key=len)
+        # the null vectors in key coordinates, reduced on reversed columns
+        top = len(keys) - 1
+        reduced = linalg.RankTracker()
+        for v in linalg.nullspace(matrix_rows, len(images)):
+            acc = {}
+            for a, vec in zip(v, vecs):
+                K.maxpy(acc, vec, a)
+            reduced.add({top - i: x for i, x in acc.items()})
         out = []
-        for v in linalg.nullspace(matrix_rows, len(basis_elts)):
-            acc = alg.zero()
-            for coef, z in zip(linalg.clear_denominators(v), basis_elts):
-                if coef:
-                    acc = acc + z.scale(coef)
-            out.append(acc)
+        for p in sorted(reduced.rows, reverse=True):
+            cols = sorted(top - c for c in reduced.rows[p])
+            terms = {}
+            for i, coef in zip(cols, linalg.clear_denominators([reduced.rows[p][top - i] for i in cols])):
+                m, g, pe = keys[i]
+                K.emap_axpy(terms, (m, g), {pe: coef}, R1)
+            out.append(SRAElement(alg, {k: ParamPoly(alg.nparams, v) for k, v in terms.items()}))
         return out
 
     if c_values is not None:
-        keys = _coord_keys(alg, d, c_values, include_t)
-        elements = central_combinations([_key_element(alg, k) for k in keys])
+        elements = central_combinations(_coord_keys(alg, d, c_values, include_t))
         elements.sort(key=lambda e: (e.vdegree(), sorted(e.terms)))
         dims = [0] * (d + 1)
         for e in elements:
@@ -890,12 +1037,13 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
     dims = [0] * (d + 1)
     prev_weight_elts = {}
     pvars = list(range(alg.nparams)) if include_t else list(range(1, alg.nparams))
+    all_keys = _coord_keys(alg, d, None, include_t)
     for w in range(d + 1):
-        keys = [k for k in _coord_keys(alg, d, None, include_t) if len(k[0]) + 2 * sum(k[2]) == w]
+        keys = [k for k in all_keys if len(k[0]) + 2 * sum(k[2]) == w]
         if not keys:
             prev_weight_elts[w] = []
             continue
-        weight_elements = central_combinations([_key_element(alg, k) for k in keys])
+        weight_elements = central_combinations(keys)
         prev_weight_elts[w] = weight_elements
         # new = complement of (parameter * weight-(w-2) center) in weight-w center
         old = prev_weight_elts.get(w - 2, [])
@@ -916,16 +1064,25 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
 
 
 def recheck_central(alg, elt, c_values=None, include_t=False, t_value=None):
-    """Post-hoc check: commutes with every basis vector and generator."""
+    """Post-hoc check, independent of the H^W solve: commutes with every
+    basis vector and every group generator."""
     if t_value is None:
         t_value = R0
     t = None if include_t else t_value
-    return not any(elt.commutator(u).specialize(t=t, c=c_values) for u in _test_elements(alg))
+    tests = [alg.gen(i) for i in range(alg.nv)] + [alg.group_elt(g) for g in alg.group.generator_ids]
+    return not any(elt.commutator(u).specialize(t=t, c=c_values) for u in tests)
 
 
 def satake_corner_check(alg, basis, d, c_values=None):
     """The corner map z -> e z e on the center: injectivity plus equality
-    with the dimension of the degree-<= d spherical corner."""
+    with the dimension of the degree-<= d spherical corner.
+
+    The center side is e z (= e z e for central z).  The corner side needs
+    no product: g e = e gives e m e = (1/|W|) (sum_g g m g^-1) e, a term
+    (word, h) of the sum times e is word * e, and x -> x e is injective on
+    the span of the words.  So the corner's dimension is the rank of the
+    ``conjugation_sum`` of each monomial with its group parts dropped.
+    And e (m g) e = e m e, so one sum per monomial spans the corner."""
     e = spherical_idempotent(alg)
 
     def center_side(z):
@@ -937,16 +1094,16 @@ def satake_corner_check(alg, basis, d, c_values=None):
         tr.add(_flatten(center_side(z), slots))
     injective = tr.rank == len(basis)
 
-    # corner dimension: span of e * (monomial x group) * e up to degree d.
-    # g e = e, and multiply right-multiplies by a group element by
-    # relabeling alone, so e (m g) e = e m e for every g under any kappa:
-    # one corner per monomial spans the same space
+    spec = _specializer(alg, R0, c_values)
     slots2 = {}
     tr2 = linalg.RankTracker()
+    everything = range(alg.group.order)
     for deg in range(d + 1):
         for m in combinations_with_replacement(range(alg.nv), deg):
-            z = SRAElement(alg, {(m, 0): ParamPoly.one(alg.nparams)})
-            tr2.add(_flatten(spherical_corner(alg, z).specialize(t=R0, c=c_values), slots2))
+            words = {}
+            for (w, _g, u), x in conjugation_sum(alg, SRAElement(alg, {(m, 0): ParamPoly.one(alg.nparams)}), everything).items():
+                words[(w, 0, u)] = words.get((w, 0, u), 0) + x
+            tr2.add(_coords(words, slots2, spec))
     corner_dim = tr2.rank
     return {"injective": injective, "corner_dim": corner_dim, "basis_size": len(basis), "spans_corner": injective and corner_dim == len(basis)}
 

@@ -23,6 +23,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 S2_SPEC = {"builtin": {"type": "symmetric", "n": 2, "rep": "reflection"}, "gen_names": ["s"]}
 S3_SPEC = {"builtin": {"type": "symmetric", "n": 3, "rep": "reflection"}, "gen_names": ["s1", "s2"]}
 S4_SPEC = {"builtin": {"type": "symmetric", "n": 4, "rep": "reflection"}}
+S3_PERM_SPEC = {"builtin": {"type": "symmetric", "n": 3, "rep": "permutation"}}
+# the product of two rank-one groups: two reflection orbits, and h splits
+# into two lines that no group element mixes
+PRODUCT_SPEC = {
+    "dim_h": 2,
+    "generators_on_h": [[["-1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]]],
+    "gen_names": ["s1", "s2"],
+}
 WEYL_SPEC = {"dim_h": 1, "generators_on_h": []}
 
 
@@ -59,6 +67,16 @@ def ch3():
 @pytest.fixture(scope="session")
 def ch4():
     return CH.build_cherednik(S4_SPEC)
+
+
+@pytest.fixture(scope="session")
+def ch3perm():
+    return CH.build_cherednik(S3_PERM_SPEC)
+
+
+@pytest.fixture(scope="session")
+def chprod():
+    return CH.build_cherednik(PRODUCT_SPEC)
 
 
 @pytest.fixture(scope="session")
@@ -417,9 +435,16 @@ def reference_center(alg, d, c_values=None, include_t=False):
     return elements, dims
 
 
+def spherical_corner(alg, a):
+    """e a e with the spherical idempotent e, by two full products."""
+    e = S.spherical_idempotent(alg)
+    return alg.multiply(alg.multiply(e, a), e)
+
+
 def reference_satake(alg, basis, d, c_values=None):
     """Reference ``sra.satake_corner_check``: dense ranks of e z and of the
-    corners e m e, specialized c first, then t = 0."""
+    corners e m e (two full products each), specialized c first, then
+    t = 0."""
     from itertools import combinations_with_replacement
 
     e = S.spherical_idempotent(alg)
@@ -430,7 +455,7 @@ def reference_satake(alg, basis, d, c_values=None):
     for deg in range(d + 1):
         for m in combinations_with_replacement(range(alg.nv), deg):
             z = S.SRAElement(alg, {(m, 0): ParamPoly.one(alg.nparams)})
-            corners.append(_dense_specialize(S.spherical_corner(alg, z), R0, c_values))
+            corners.append(_dense_specialize(spherical_corner(alg, z), R0, c_values))
     slots2 = {}
     corner_dim = dense_rank(dense_padded(corners, slots2), len(slots2))
     return {"injective": injective, "corner_dim": corner_dim, "basis_size": len(basis),

@@ -14,13 +14,7 @@ from srak import sra as S
 from srak.coeffs import ParamPoly, R0, R1, rat
 from srak.selftest import associativity_suite
 
-from conftest import pairwise_gram
-
-PRODUCT_SPEC = {
-    "dim_h": 2,
-    "generators_on_h": [[["-1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]]],
-    "gen_names": ["s1", "s2"],
-}
+from conftest import PRODUCT_SPEC, pairwise_gram
 
 
 @pytest.fixture(scope="module")

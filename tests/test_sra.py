@@ -4,7 +4,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from conftest import S2_SPEC, S3_SPEC, fraction_normal_form, reference_center, reference_satake
+from conftest import S2_SPEC, S3_SPEC, fraction_normal_form, reference_center, reference_satake, spherical_corner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,13 +112,13 @@ def test_spherical_corner_examples(ch2):
     alg = ch2.algebra
     e = S.spherical_idempotent(alg)
     assert alg.multiply(e, e) == e
-    assert S.spherical_corner(alg, alg.one()) == e
-    assert S.spherical_corner(alg, ch2.x(0)) == alg.zero()
+    assert spherical_corner(alg, alg.one()) == e
+    assert spherical_corner(alg, ch2.x(0)) == alg.zero()
     x2 = alg.parse("x^2")
-    assert S.spherical_corner(alg, x2) == alg.multiply(x2, e)
+    assert spherical_corner(alg, x2) == alg.multiply(x2, e)
     # corner closure: e a e * e b e = e (...) e
     a, b = alg.parse("x*y"), alg.parse("y^2*s")
-    prod = alg.multiply(S.spherical_corner(alg, a), S.spherical_corner(alg, b))
+    prod = alg.multiply(spherical_corner(alg, a), spherical_corner(alg, b))
     assert alg.multiply(alg.multiply(e, prod), e) == prod
 
 
@@ -170,6 +170,10 @@ CENTER_CASES = {
     "S3-deg3-c=-5/13": ("ch3", 3, [rat(-5, 13)], False, True),
     "S3-deg3-include_t": ("ch3", 3, None, True, False),
     "S4-deg2-generic": ("ch4", 2, None, False, False),
+    # h reducible: two orbits of lines, and the permutation module
+    "product-deg2-generic": ("chprod", 2, None, False, True),
+    "product-deg2-c=(1/3,-2/5)": ("chprod", 2, [rat(1, 3), rat(-2, 5)], False, True),
+    "S3perm-deg2-generic": ("ch3perm", 2, None, False, True),
 }
 
 
@@ -185,6 +189,57 @@ def test_center_matches_dense_reference(request, case):
     assert cb.graded_dims == dims
     if check_corner:
         assert S.satake_corner_check(alg, cb.elements, d, c_values=c_values) == reference_satake(alg, cb.elements, d, c_values)
+
+
+@pytest.mark.parametrize("fixture", ["ch3", "ch4", "chprod"])
+@pytest.mark.parametrize("form", ["cherednik", "omega-form"])
+def test_conjugation_sum_matches_products(request, fixture, form):
+    """g z g^-1 read off the cached normal forms equals the two full
+    products, one group element at a time and summed over the group."""
+    ch = request.getfixturevalue(fixture)
+    alg = ch.algebra if form == "cherednik" else S.SRAlgebra.omega_form(ch.group, ch.rdata)
+    grp = alg.group
+    rng = random.Random(97)
+    for _ in range(4):
+        z = random_element(alg, rng, max_degree=3) + random_element(alg, rng, max_degree=2).scale(ParamPoly.var(alg.nparams, 1))
+        for g in rng.sample(range(grp.order), min(grp.order, 6)):
+            want = alg.multiply(alg.group_elt(g), alg.multiply(z, alg.group_elt(grp.inv[g])))
+            assert S.SRAElement(alg, alg._from_u(S.conjugation_sum(alg, z, [g]))) == want
+        everything = range(grp.order)
+        want = sum((alg.multiply(alg.group_elt(g), alg.multiply(z, alg.group_elt(grp.inv[g]))) for g in everything), alg.zero())
+        assert S.SRAElement(alg, alg._from_u(S.conjugation_sum(alg, z, everything))) == want
+
+
+@pytest.mark.parametrize("fixture, expected", [("ch2", [0, 1]), ("ch3", [0, 2]), ("ch4", [0, 3]), ("ch3perm", [0, 3]),
+                                               ("chprod", [0, 1, 2, 3])])
+def test_test_elements_span_by_orbits(request, fixture, expected):
+    """One x and one y when W mixes all of h (S_n on the reflection or the
+    permutation module); every basis vector for the product group, whose
+    orbits are single lines."""
+    assert S._test_elements(request.getfixturevalue(fixture).algebra) == expected
+
+
+def test_tampered_s3_center_fails():
+    """The criterion-12 flip, seen through the form-driven S3 algebra, still
+    breaks the center: the degree-3 dimensions or the corner check."""
+    from srak.selftest import tampered_s3
+
+    _bad_ch, bad_alg, _b = tampered_s3()
+    cb = S.center_basis(bad_alg, 3)
+    sat = S.satake_corner_check(bad_alg, cb.elements, 3)
+    assert cb.graded_dims != [1, 0, 3, 4] or not sat["spans_corner"]
+
+
+def test_center_refuses_a_table_that_is_not_weight_homogeneous():
+    """The Weyl relation [v2, v1] = 1 under the order-4 rotation: a
+    conjugate of a weight-2 key has a constant term, outside the weight-2
+    keys, so the H^W solve refuses the symbolic center instead of solving
+    on a space that conjugation does not preserve."""
+    rot = [[R0, -R1], [R1, R0]]
+    grp = G.generate_group([rot], [[R0, R1], [-R1, R0]])
+    alg = S.SRAlgebra(grp, {(1, 0): ((0, {(0,): R1}),)}, 1)
+    with pytest.raises(S.AlgebraError, match="conjugation leaves"):
+        S.center_basis(alg, 2)
 
 
 def test_generic_center_is_parameters_only(ch2):
