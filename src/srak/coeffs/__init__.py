@@ -224,22 +224,6 @@ class ParamPoly:
                 K.maxpy(out, {tuple(new_e): R1}, scale)
         return ParamPoly(self.arity, out)
 
-    def div_t(self):
-        """Exact quotient by t (variable 0).
-
-        Raises ValueError when some term has t-exponent 0.
-        """
-        out = {}
-        for e, c in self.terms.items():
-            if e[0] < 1:
-                raise ValueError("not divisible by t")
-            out[(e[0] - 1,) + e[1:]] = c
-        return ParamPoly(self.arity, out)
-
-    def t_multiple(self):
-        """True when every term carries a positive power of t."""
-        return all(e[0] >= 1 for e in self.terms)
-
     # -- printing ------------------------------------------------------
 
     def sorted_terms(self):

@@ -14,19 +14,23 @@ Two convolutions: ``mmul`` adds exponent tuples componentwise, for
 ``ParamPoly`` products and ``cherednik.StandardModule.act_poly``;
 ``pmul``, the fused ``emap_addmul`` and ``pbw_addmul`` take packed int
 keys, whose sum is the product monomial.  ``pbw_addmul`` is the PBW
-rewriting core's accumulator (``SRAlgebra._word_normal`` and
-``multiply``, which pack exponent vectors and guard the fields against
-carries, see ``sra``): one call adds a whole flat normal form
-{(word, gid, packed key): value} times a packed polynomial, the group
-part multiplied on the right by one element through the Cayley table.
-``pmul`` forms the coefficient products of ``multiply``'s two factors, and
+engine's accumulator (see ``sra``, which packs exponent vectors and
+guards the fields against carries): one call adds a whole flat map
+{(word, gid, packed key): value}, the shape of an ``sra`` element and of
+its cached normal forms, times a packed polynomial, the group part
+multiplied on the right by one element through the Cayley table.  It
+fills the rewriting caches and ``multiply``'s product, and forms
+conjugation sums, center brackets and scalar multiples.  ``pmul`` forms
+the coefficient products of ``multiply``'s two factors, and
 ``emap_addmul`` the Z[c] pairing entries of
 ``cherednik.packed_gram_tower``.
 
-Callers: ``ParamPoly`` arithmetic, PBW normal ordering (``sra``), the
-Dunkl module vectors and pairing matrices (``cherednik``), group-algebra
-coefficients (``centralizer.GroupAlgebraCoefficients``) and the sparse
-rows of the elimination (``linalg.RankTracker``).  One loop stays outside
+Callers: ``ParamPoly`` arithmetic, the PBW engine and its elements
+(``sra``, which converts to ``ParamPoly`` only to parse, print and take
+user input), the Dunkl module vectors and pairing matrices
+(``cherednik``), group-algebra coefficients
+(``centralizer.GroupAlgebraCoefficients``) and the sparse rows of the
+elimination (``linalg.RankTracker``).  One loop stays outside
 on purpose: ``SRAlgebra._gexpand``, the PBW hot loop, where building a
 map per word costs measurably more than the merge.
 """

@@ -44,8 +44,9 @@ class TruncatedAlgebra:
 
     It owns the product memo of its truncated elements.  Each value that
     enters a product is interned as (lam, id) with value = lam * P_id:
-    P_id has integer coefficients with gcd 1, and its first coefficient
-    (least (word, group) key, then least exponent tuple) is positive.
+    P_id has integer values (in the PBW engine's u-variables) with gcd 1,
+    and its value at the least (word, group, packed monomial) key is
+    positive.
     Primitives are found by hash bucket and confirmed by exact ``==``, so
     two different primitives never share an id.  Rational scalars are
     central, so (lam_a P_a)(lam_b P_b) = lam_a lam_b (P_a P_b), and the
@@ -69,17 +70,15 @@ class TruncatedAlgebra:
         lam = R0
         if terms:
             num, den = 0, 1
-            for p in terms.values():
-                for c in p.terms.values():
-                    num = math.gcd(num, c.numerator)
-                    den = math.lcm(den, c.denominator)
-            first = terms[min(terms)].terms
-            if first[min(first)] < 0:
+            for c in terms.values():
+                num = math.gcd(num, c.numerator)
+                den = math.lcm(den, c.denominator)
+            if terms[min(terms)] < 0:
                 num = -num
             lam = Fraction(num, den)
             if lam != 1:
                 value = value.scale(1 / lam)
-        key = hash(frozenset((k, frozenset(p.terms.items())) for k, p in value.terms.items()))
+        key = hash(frozenset(value.terms.items()))
         bucket = self._ids.setdefault(key, [])
         for pid in bucket:
             if self._prims[pid][0] == value:
@@ -234,8 +233,9 @@ def first_difference(a, b, order=None):
     d = (a - b).value.truncate_x(o)
     if not d:
         return None
-    key = min(d.terms, key=lambda k: (len(k[0]), k[0], k[1]))
-    return (key[0], key[1], d.terms[key].to_str())
+    coeffs = d.coefficients()
+    key = min(coeffs, key=lambda k: (len(k[0]), k[0], k[1]))
+    return (key[0], key[1], coeffs[key].to_str())
 
 
 class TruncatedCoefficients(CoefficientAlgebra):
@@ -606,15 +606,14 @@ def mod_param_baseline(iso):
 def _second_scaling_weight(telt, xc):
     """Weight under y -> L^2 y, params -> L^2 params, x fixed; None when
     the element is not homogeneous."""
+    alg = telt.value.algebra
     w = None
-    for (mono, _), p in telt.value.terms.items():
-        ydeg = sum(1 for v in mono if v >= xc)
-        for e in p.terms:
-            cand = ydeg + sum(e)
-            if w is None:
-                w = cand
-            elif w != cand:
-                return None
+    for mono, _, k in telt.value.terms:
+        cand = sum(1 for v in mono if v >= xc) + sum(alg._unpack(k)[0])
+        if w is None:
+            w = cand
+        elif w != cand:
+            return None
     return w
 
 

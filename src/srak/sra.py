@@ -6,10 +6,7 @@ polynomial ring by commutation relations
     v_j v_i  =  v_i v_j + kappa(v_j, v_i)        (j > i in a fixed basis)
 
 where kappa takes values in group-algebra elements with polynomial
-coefficients.  Elements are kept in normal form: a finite map
-
-    (non-decreasing index word over the basis of V, group element)
-        -> coefficient polynomial.
+coefficients.  Elements are kept in normal form.
 
 Rewriting moves group elements right past vectors (pure relabeling) and
 sorts vector words, inserting kappa terms; it terminates because each
@@ -18,31 +15,35 @@ omega-form presentation (kappa built from the symplectic form and the
 per-reflection forms, with parameter t on the identity and c_i on orbit
 i) is the default; the Cherednik layer installs its own table.
 
-The rewriting core runs on packed monomial keys and Python ints.  Each
-parameter c_p gets a scale d_p, the least common multiple of the
-denominators of the kappa coefficients on its linear monomial, and the
-core works in the variables u_p = c_p / d_p, in which the builtin kappa
-tables and group matrices are integral (the S3 omega-form kappa has
-d = (1, 2)).  A monomial u^e is keyed by one int, with e_p in bits
+Coefficients live in rescaled parameters.  Each parameter c_p gets a
+scale d_p, the least common multiple of the denominators of the kappa
+coefficients on its linear monomial, and the engine works in the
+variables u_p = c_p / d_p, in which the builtin kappa tables and group
+matrices are integral (the S3 omega-form kappa has d = (1, 2)).  A
+monomial u^e is keyed by one int, with e_p in bits
 [PACK_BITS*p, PACK_BITS*(p+1)), so multiplying two monomials is adding two
-ints (packed exponent vectors, Monagan-Pearce 2007).  The rewriting
-caches and the accumulator of ``multiply`` are flat maps with one key per
-term, (sorted word, gid, packed u-monomial) -> int or Fraction, filled by
-``coeffs._kernel.pbw_addmul``, one call per normal form and coefficient
-polynomial.  ``multiply`` is the boundary: it packs the coefficients of
-its factors into the u-variables (the coefficient of u^e is that of c^e
-times prod d_p^e_p), and regroups its flat result into (word, gid) ->
-coefficient once, unpacking and dividing it back exactly, so every
-coefficient it returns is a ``Fraction`` in the public c-variables, keyed
-by exponent tuples.  A carry between fields would be silent, so
-``multiply`` first bounds the product's exponents: E(a) + E(b) +
-k*(L(a) + L(b))//2, with E a factor's largest parameter exponent, L its
-longest word and k the largest exponent in the kappa table (each kappa
-step removes two letters), and raises AlgebraError when that reaches
-2^PACK_BITS.  Data that stays non-integral
-after scaling (a constant kappa term with a denominator, a non-integral
-group matrix) flows through the same code as ``Fraction`` values mixed
-with ints.
+ints (packed exponent vectors, Monagan-Pearce 2007).  An element, the
+rewriting caches and every intermediate result are one kind of flat map
+with one key per term, (sorted word, gid, packed u-monomial) -> int or
+Fraction, filled by ``coeffs._kernel.pbw_addmul``, one call per normal
+form and coefficient polynomial.  The coefficient of u^e is that of c^e
+times prod d_p^e_p.
+
+Conversion to and from the public c-variables (``ParamPoly``, exponent
+tuples, ``Fraction`` values) happens only at the edges: ``element``,
+``scalar``, ``param``, ``SRAElement.scale`` by a ``ParamPoly`` and the
+literal parser pack coefficients in (``SRAlgebra._to_u``), and
+``SRAElement.coefficients`` (which ``to_str`` prints) unpacks them and
+divides back exactly.  ``specialize`` substitutes on the packed keys.  A
+carry between fields would be silent, so ``multiply`` first bounds the
+product's exponents: E(a) + E(b) + k*(L(a) + L(b))//2, with E a factor's
+largest parameter exponent, L its longest word and k the largest exponent
+in the kappa table (each kappa step removes two letters), and raises
+AlgebraError when that reaches 2^PACK_BITS; packing an exponent that
+does not fit its field raises too.  Data that stays non-integral after
+scaling (a constant kappa term with a denominator, a non-integral group
+matrix) flows through the same code as ``Fraction`` values mixed with
+ints.
 
 Also here: the spherical corner, degree-truncated center computation
 with its corner cross-checks, the Poisson bracket on the t = 0 center,
@@ -58,7 +59,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .coeffs import ArityError, ParamPoly, R0, R1, check_exponents, exact, is_rational, rat
+from .coeffs import ArityError, ParamPoly, R0, R1, check_exponents, exact, rat
 from .coeffs import _kernel as K
 
 
@@ -87,10 +88,6 @@ class AlgebraError(ValueError):
 
 class LiteralError(AlgebraError):
     """A malformed element literal."""
-
-
-def _poly_raw_const(arity, value):
-    return {(0,) * arity: value} if value else {}
 
 
 def _lower(x):
@@ -151,9 +148,10 @@ class SRAlgebra:
         self.scales = tuple(scales)
         self._packs = {}  # exponent tuple -> (packed key, weight, largest exponent)
         self._unpacks = {}  # packed key -> (exponent tuple, weight)
+        self._specs = {}  # substituted values -> memo of ``_specializer``
         # the rewriting table in the u-variables, keyed by packed monomials
-        self._kappa = {key: tuple((gid, self._to_u(poly)[0]) for gid, poly in terms) for key, terms in kappa.items()}
-        self._kappa_exp = max((self._pack(e)[2] for terms in kappa.values() for _, poly in terms for e in poly), default=0)
+        self._kappa = {key: tuple((gid, self._to_u(poly)) for gid, poly in terms) for key, terms in kappa.items()}
+        self._kappa_exp = self._top(k for terms in self._kappa.values() for _, poly in terms for k in poly)
         self.x_count = x_count
         self.rdata = rdata
         self.presentation = presentation
@@ -205,15 +203,11 @@ class SRAlgebra:
         if isinstance(value, ParamPoly):
             if value.arity != self.nparams:
                 raise AlgebraError("parameter arity mismatch")
-            poly = value
-        else:
-            poly = ParamPoly.const(self.nparams, exact(value))
-        if not poly:
-            return self.zero()
-        return SRAElement(self, {((), 0): poly})
+            return SRAElement(self, {((), 0, k): c for k, c in self._to_u(value.terms).items()})
+        return SRAElement(self, {((), 0, 0): value} if value else {})
 
     def one(self):
-        return self.scalar(R1)
+        return self.scalar(1)
 
     def param(self, index):
         return self.scalar(ParamPoly.var(self.nparams, index))
@@ -221,45 +215,39 @@ class SRAlgebra:
     def gen(self, v_index, power=1):
         if not (0 <= v_index < self.nv):
             raise AlgebraError("basis index out of range")
-        return SRAElement(self, {((v_index,) * power, 0): ParamPoly.one(self.nparams)})
+        return SRAElement(self, {((v_index,) * power, 0, 0): 1})
 
     def group_elt(self, gid):
-        return SRAElement(self, {((), gid): ParamPoly.one(self.nparams)})
+        return SRAElement(self, {((), gid, 0): 1})
 
     def vector(self, coeffs, gid=0):
         """Element sum(coeffs[i] * v_i) * g."""
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = exact(c)
-            if c:
-                K.emap_axpy(terms, ((i,), gid), _poly_raw_const(self.nparams, R1), c)
-        return SRAElement(self, {k: ParamPoly(self.nparams, v) for k, v in terms.items()})
+        return SRAElement(self, {((i,), gid, 0): c for i, c in enumerate(coeffs) if c})
 
     def element(self, raw_terms):
         """Element from {(word, gid): coefficient}, a coefficient a ParamPoly
-        or a raw {exponents: rational} map.  Raises ArityError on an
-        exponent tuple of the wrong length or with a negative entry."""
+        or a raw {exponents: rational} map in the c-variables.  Raises
+        ArityError on an exponent tuple of the wrong length or with a
+        negative entry, and AlgebraError on one too large to pack."""
         terms = {}
-        for k, v in raw_terms.items():
+        for (m, g), v in raw_terms.items():
             if isinstance(v, ParamPoly):
                 if v.arity != self.nparams:
                     raise ArityError("coefficient arity %d, expected %d" % (v.arity, self.nparams))
                 v = v.terms
-            poly = {check_exponents(self.nparams, e): c for e, c in v.items() if c}
-            if poly:
-                terms[k] = ParamPoly(self.nparams, poly)
+            for k, c in self._to_u({e: c for e, c in v.items() if c}).items():
+                terms[(m, g, k)] = c
         return SRAElement(self, terms)
 
     # -- rewriting core --------------------------------------------------
     #
-    # Everything from here to ``multiply`` works in the u-variables, with
-    # int coefficients wherever the data is integral, and keys each
-    # coefficient monomial u^e by one packed int (see ``PACK_BITS``).
+    # Coefficients are in the u-variables, ints wherever the data is
+    # integral, each monomial u^e keyed by one packed int (``PACK_BITS``).
 
     def _pack(self, e):
-        """(packed key, weight prod d_p^e_p, largest exponent) of an
-        exponent tuple; raises ArityError on a malformed one and
-        AlgebraError on an exponent too large for its field."""
+        """(packed key, weight prod d_p^e_p) of an exponent tuple; raises
+        ArityError on a malformed one and AlgebraError on an exponent too
+        large for its field."""
         hit = self._packs.get(e)
         if hit is None:
             top = max(check_exponents(self.nparams, e), default=0)
@@ -268,42 +256,36 @@ class SRAlgebra:
             w = 1
             for d, k in zip(self.scales, e):
                 w *= d**k
-            hit = self._packs[e] = (pack_key(e), w, top)
+            hit = self._packs[e] = (pack_key(e), w)
         return hit
 
     def _to_u(self, terms):
         """A coefficient map in the c-variables, rewritten in the u-variables
-        with packed keys, and its largest single exponent."""
-        pack = self._pack
+        with packed keys: the input edge of every element."""
         out = {}
-        top = 0
         for e, c in terms.items():
-            key, w, emax = pack(e)
+            key, w = self._pack(e)
             out[key] = _lower(c * w if w != 1 else c)
-            if emax > top:
-                top = emax
-        return out, top
+        return out
 
-    def _from_u(self, flat):
-        """A flat map {(word, gid, packed key): value} in the u-variables,
-        regrouped into {(word, gid): ParamPoly} in the c-variables with
-        exponent-tuple keys and Fraction values (exact division)."""
-        unpacks = self._unpacks
-        grouped = {}
-        for (m, g, key), c in flat.items():
-            hit = unpacks.get(key)
-            if hit is None:
-                e = unpack_key(key, self.nparams)
-                hit = unpacks[key] = (e, self._pack(e)[1])
-            e, w = hit
-            poly = grouped.get((m, g))
-            if poly is None:
-                poly = grouped[(m, g)] = {}
-            if type(c) is int:
-                poly[e] = Fraction(c, w) if w != 1 else Fraction(c)
-            else:
-                poly[e] = c / w if w != 1 else c
-        return {k: ParamPoly(self.nparams, v) for k, v in grouped.items()}
+    def _unpack(self, key):
+        """(exponent tuple, weight prod d_p^e_p) of a packed key."""
+        hit = self._unpacks.get(key)
+        if hit is None:
+            e = unpack_key(key, self.nparams)
+            hit = self._unpacks[key] = (e, self._pack(e)[1])
+        return hit
+
+    @staticmethod
+    def _top(keys):
+        """The largest single exponent in some packed keys."""
+        top = 0
+        for key in set(keys):
+            while key:
+                if key & (_FIELD - 1) > top:
+                    top = key & (_FIELD - 1)
+                key >>= PACK_BITS
+        return top
 
     def _column(self, gid, v):
         key = (gid, v)
@@ -390,6 +372,18 @@ class SRAlgebra:
         self._gmono_cache[key] = out
         return out
 
+    @staticmethod
+    def _by_word(terms):
+        """A flat map regrouped as {(word, gid): packed polynomial}, its
+        values lowered to ints where integral (so the core runs on ints)."""
+        out = {}
+        for (m, g, k), c in terms.items():
+            poly = out.get((m, g))
+            if poly is None:
+                out[(m, g)] = poly = {}
+            poly[k] = c if type(c) is int else _lower(c)
+        return out
+
     def multiply(self, a, b, xcap=None):
         """Normal-form product.  ``xcap`` prunes terms whose x-degree is
         provably >= xcap (doubled algebras only).  Raises AlgebraError when
@@ -398,38 +392,29 @@ class SRAlgebra:
             raise AlgebraError("elements of different algebras")
         xc = self.x_count
         table = self.group.table
-        to_u = self._to_u
         word_normal = self._word_normal
         wcache = self._word_cache
-        right = []  # (word, gid, coefficients in u, x-degree minus y-degree)
-        top_b = len_b = 0
-        for (m2, g2), p2 in b.terms.items():
+        left = self._by_word(a.terms)
+        right = []  # (word, gid, packed polynomial, x-degree minus y-degree)
+        for (m2, g2), p2 in self._by_word(b.terms).items():
             x2 = sum(1 for v in m2 if v < xc) if xcap is not None else 0
-            p2r, top = to_u(p2.terms)
-            right.append((m2, g2, p2r, 2 * x2 - len(m2)))
-            top_b = max(top_b, top)
-            len_b = max(len_b, len(m2))
-        left = []
-        top_a = len_a = 0
-        for (m1, g1), p1 in a.terms.items():
-            p1r, top = to_u(p1.terms)
-            left.append((m1, g1, p1r))
-            top_a = max(top_a, top)
-            len_a = max(len_a, len(m1))
+            right.append((m2, g2, p2, 2 * x2 - len(m2)))
+        longest = max((len(m) for m, _ in left), default=0) + max((len(r[0]) for r in right), default=0)
         # each kappa step removes two letters and raises an exponent by at
         # most _kappa_exp, so no packed field of the product can carry
-        if top_a + top_b + self._kappa_exp * ((len_a + len_b) // 2) >= _FIELD:
+        top = self._top(k for _, _, k in a.terms) + self._top(k for _, _, k in b.terms)
+        if top + self._kappa_exp * (longest // 2) >= _FIELD:
             raise AlgebraError("a parameter exponent of this product could reach 2^%d" % PACK_BITS)
-        out = {}  # flat: (word, gid, packed key) -> value
-        for m1, g1, p1r in left:
+        out = {}
+        for (m1, g1), p1 in left.items():
             if xcap is not None:
                 x1 = sum(1 for v in m1 if v < xc)
                 xy1 = 2 * x1 - len(m1)
-            for m2, g2, p2r, xy2 in right:
+            for m2, g2, p2, xy2 in right:
                 if xcap is not None and xy1 + xy2 >= xcap:
                     continue
                 g12 = table[g1][g2]
-                p12 = K.pmul(p1r, p2r)
+                p12 = K.pmul(p1, p2)
                 if not p12:
                     continue
                 for (mp, gp, kq), q in self._gmono_normal(g1, m2).items():
@@ -444,7 +429,14 @@ class SRAlgebra:
                         src = {key: c for key, c in src.items() if bisect_left(key[0], xc) < xcap}
                     poly = {k + kq: c for k, c in p12.items()} if kq else p12
                     K.pbw_addmul(out, src, poly, q, table, table[gp][g12])
-        return SRAElement(self, self._from_u(out))
+        return SRAElement(self, out)
+
+    def _times(self, poly, elt):
+        """``elt`` times the scalar {packed key: value} ``poly``; raises
+        AlgebraError when an exponent would not fit its field."""
+        if self._top(poly) + self._top(k for _, _, k in elt.terms) >= _FIELD:
+            raise AlgebraError("a parameter exponent of this product could reach 2^%d" % PACK_BITS)
+        return SRAElement(self, K.pbw_addmul({}, elt.terms, poly, 1, self.group.table, 0))
 
     def normalize_word(self, factors):
         """Normal form of a product of factors.
@@ -459,10 +451,8 @@ class SRAlgebra:
                 acc = self.multiply(acc, self.group_elt(f[1]))
             elif isinstance(f, (list, tuple)):
                 acc = self.multiply(acc, self.vector(f))
-            elif isinstance(f, ParamPoly):
-                acc = self.multiply(acc, self.scalar(f))
             else:
-                acc = self.multiply(acc, self.scalar(f))
+                acc = acc.scale(f)
         return acc
 
     # -- parsing ----------------------------------------------------------
@@ -473,7 +463,8 @@ class SRAlgebra:
 
 
 class SRAElement:
-    """Normal-form element: map (word, group id) -> coefficient."""
+    """Normal-form element: the flat map
+    {(sorted word, gid, packed u-monomial): int or Fraction}."""
 
     __slots__ = ("algebra", "terms")
 
@@ -514,41 +505,50 @@ class SRAElement:
         return self.scale(other)
 
     def scale(self, c):
-        if not is_rational(c):
-            return SRAElement(self.algebra, K.mscale(self.terms, c))
-        # a rational scales each coefficient's term map directly
-        c = exact(c)
-        if not c:
-            return SRAElement(self.algebra, {})
-        arity = self.algebra.nparams
-        return SRAElement(self.algebra, {k: ParamPoly(arity, K.mscale(p.terms, c)) for k, p in self.terms.items()})
+        """This element times a rational or a ``ParamPoly``."""
+        alg = self.algebra
+        if isinstance(c, ParamPoly):
+            return alg._times(alg._to_u(c.terms), self)
+        return SRAElement(alg, K.mscale(self.terms, c))
 
     def commutator(self, other):
         return self * other - other * self
 
     def specialize(self, t=None, c=None):
         """Substitute rationals for t and/or the orbit parameters."""
-        values = {}
-        if t is not None:
-            values[0] = exact(t)
-        if c is not None:
-            if len(c) != self.algebra.nparams - 1:
-                raise AlgebraError("expected %d orbit parameters" % (self.algebra.nparams - 1))
-            for i, v in enumerate(c):
-                values[i + 1] = exact(v)
-        return self.map_coefficients(lambda p: p.specialize(values))
+        spec = _specializer(self.algebra, t, c)
+        out = {}
+        for (m, g, k), x in self.terms.items():
+            k2, f, _, _ = spec(k)
+            if f:
+                key = (m, g, k2)
+                out[key] = out.get(key, 0) + x * f
+        return SRAElement(self.algebra, {k: x for k, x in out.items() if x})
+
+    def coefficients(self):
+        """The terms in the public c-variables: {(word, gid): ParamPoly},
+        keyed by exponent tuples, with ``Fraction`` values."""
+        alg = self.algebra
+        grouped = {}
+        for (m, g, k), c in self.terms.items():
+            e, w = alg._unpack(k)
+            poly = grouped.get((m, g))
+            if poly is None:
+                poly = grouped[(m, g)] = {}
+            poly[e] = Fraction(c, w) if type(c) is int else c / w
+        return {k: ParamPoly(alg.nparams, v) for k, v in grouped.items()}
 
     def vdegree(self):
         """Filtration degree: length of the longest word present."""
-        return max((len(m) for (m, _) in self.terms), default=0)
+        return max((len(m) for (m, _, _) in self.terms), default=0)
 
     def xdegree(self):
         xc = self.algebra.x_count
-        return max((sum(1 for v in m if v < xc) for (m, _) in self.terms), default=0)
+        return max((sum(1 for v in m if v < xc) for (m, _, _) in self.terms), default=0)
 
     def ydegree(self):
         xc = self.algebra.x_count
-        return max((sum(1 for v in m if v >= xc) for (m, _) in self.terms), default=0)
+        return max((sum(1 for v in m if v >= xc) for (m, _, _) in self.terms), default=0)
 
     def truncate_x(self, order):
         """Drop terms of x-degree >= order (doubled algebras)."""
@@ -556,19 +556,11 @@ class SRAElement:
         out = {k: v for k, v in self.terms.items() if sum(1 for vv in k[0] if vv < xc) < order}
         return SRAElement(self.algebra, out)
 
-    def map_coefficients(self, fn):
-        out = {}
-        for k, v in self.terms.items():
-            p = fn(v)
-            if p:
-                out[k] = p
-        return SRAElement(self.algebra, out)
-
     def sorted_terms(self):
-        """Canonical order: graded-lex on the monomial, then the group
-        element's canonical matrix key (``groups.mat_key``)."""
+        """``coefficients`` in canonical order: graded-lex on the monomial,
+        then the group element's canonical matrix key (``groups.mat_key``)."""
         keys = self.algebra.group.sort_keys
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0][0]), kv[0][0], keys[kv[0][1]]))
+        return sorted(self.coefficients().items(), key=lambda kv: (len(kv[0][0]), kv[0][0], keys[kv[0][1]]))
 
     def to_str(self):
         if not self.terms:
@@ -671,6 +663,14 @@ def _parse_element(alg, text):
         pos += 1
         return tok
 
+    def times(a, b):
+        # scalars and parameters are central: a factor whose terms all have
+        # the empty word and the identity group part scales the other
+        for s, f in ((a, b), (b, a)):
+            if all(not m and not g for m, g, _ in s.terms):
+                return alg._times({k: x for (_, _, k), x in s.terms.items()}, f)
+        return a * b
+
     def parse_factor():
         tok = take()
         if tok == "(":
@@ -704,7 +704,7 @@ def _parse_element(alg, text):
                 raise LiteralError("exponent %d exceeds the literal limit %d" % (n, MAX_LITERAL_EXPONENT))
             out = alg.one()
             for _ in range(n):
-                out = out * base
+                out = times(out, base)
             base = out
         return base
 
@@ -712,7 +712,7 @@ def _parse_element(alg, text):
         out = parse_factor()
         while peek() == "*":
             take()
-            out = out * parse_factor()
+            out = times(out, parse_factor())
         return out
 
     def parse_expr():
@@ -748,7 +748,7 @@ def pbw_dimension(alg, d):
 
 def spherical_idempotent(alg):
     scale = rat(1, alg.group.order)
-    return SRAElement(alg, {((), g): ParamPoly.const(alg.nparams, scale) for g in range(alg.group.order)})
+    return SRAElement(alg, {((), g, 0): scale for g in range(alg.group.order)})
 
 
 # -- center computation -----------------------------------------------------
@@ -785,30 +785,10 @@ def _coord_keys(alg, d, c_values, include_t):
     return keys
 
 
-def _key_element(alg, key):
-    m, g, pe = key
-    return SRAElement(alg, {(m, g): ParamPoly.monomial(alg.nparams, pe, R1)})
-
-
-def _flatten(elt, slots):
-    """Coordinates of an element over (mono, gid, param-exponent) slots, as
-    a sparse map {slot index: value}; a slot met for the first time is
-    appended to ``slots``."""
-    vec = {}
-    for (m, g), p in elt.terms.items():
-        for pe, c in p.terms.items():
-            key = (m, g, pe)
-            idx = slots.get(key)
-            if idx is None:
-                slots[key] = idx = len(slots)
-            vec[idx] = c
-    return vec
-
-
 def conjugation_sum(alg, elt, gids):
     """sum over g in ``gids`` of g * elt * g^-1, with no product rewritten,
-    as a flat map {(word, gid, packed u-monomial): value} in the
-    u-variables of the rewriting core (``_from_u`` turns it into terms).
+    as a flat map {(word, gid, packed u-monomial): value} (the terms of an
+    element).
 
     g (m, h) g^-1 = (g . m) g h g^-1, and ``_gmono_normal(g, m)`` caches the
     normal form of g . m: each of its terms (word, h', u^k) gives the term
@@ -817,25 +797,25 @@ def conjugation_sum(alg, elt, gids):
     AlgebraError when a parameter exponent could reach 2^PACK_BITS.
     """
     table, inv = alg.group.table, alg.group.inv
+    # each kappa step removes two letters, as in ``multiply``
+    longest = max((len(m) for m, _, _ in elt.terms), default=0)
+    if alg._top(k for _, _, k in elt.terms) + alg._kappa_exp * (longest // 2) >= _FIELD:
+        raise AlgebraError("a parameter exponent of this conjugate could reach 2^%d" % PACK_BITS)
     out = {}
-    for (m, h), p in elt.terms.items():
-        pu, top = alg._to_u(p.terms)
-        # each kappa step removes two letters, as in ``multiply``
-        if top + alg._kappa_exp * (len(m) // 2) >= _FIELD:
-            raise AlgebraError("a parameter exponent of this conjugate could reach 2^%d" % PACK_BITS)
+    for (m, h, k), x in elt.terms.items():
         for g in gids:
-            K.pbw_addmul(out, alg._gmono_normal(g, m), pu, 1, table, table[table[g][h]][inv[g]])
+            K.pbw_addmul(out, alg._gmono_normal(g, m), {k: x}, 1, table, table[table[g][h]][inv[g]])
     return out
 
 
 def _bracket(alg, z, i):
-    """[z, v_i] as a flat map in the u-variables, for z given as
-    {(word, gid): packed polynomial}: z v_i moves v_i left past each term's
-    group part (a column of its matrix), v_i z puts it in front.  The
-    caller bounds the exponents (``center_basis``)."""
+    """[z, v_i] as a flat map, for z a flat map: z v_i moves v_i left past
+    each term's group part (a column of its matrix), v_i z puts it in
+    front.  The caller bounds the exponents (``center_basis``)."""
     table = alg.group.table
     out = {}
-    for (m, h), pu in z.items():
+    for (m, h, k), x in z.items():
+        pu = {k: x}
         for l, q in alg._column(h, i):
             K.pbw_addmul(out, alg._word_normal(m + (l,)), pu, q, table, h)
         K.pbw_addmul(out, alg._word_normal((i,) + m), pu, -1, table, h)
@@ -843,29 +823,33 @@ def _bracket(alg, z, i):
 
 
 def _specializer(alg, t, c_values):
-    """A memoized map from a packed u-monomial u^e to (e with the
-    substituted variables set to 0, the factor that turns its coefficient
-    into that of c^e with the substitution made).  As in
-    ``SRAElement.specialize``, t and the orbit parameters are substituted
-    unless None."""
+    """A memoized map from a packed u-monomial u^e to (the packed key of e
+    with the substituted variables set to 0, the factor prod (v_p/d_p)^e_p
+    over them that substitutes u_p = v_p/d_p, that exponent tuple, the
+    factor that turns the coefficient of u^e into that of the c-monomial
+    with the substitution made).  As in ``SRAElement.specialize``, t and
+    the orbit parameters are substituted unless None.  One memo per
+    algebra and substitution."""
     values = {} if t is None else {0: exact(t)}
     if c_values is not None:
         if len(c_values) != alg.nparams - 1:
             raise AlgebraError("expected %d orbit parameters" % (alg.nparams - 1))
         for i, v in enumerate(c_values):
             values[i + 1] = exact(v)
-    memo = {}
+    memo = alg._specs.setdefault(tuple(sorted(values.items())), {})
 
     def spec(key):
         hit = memo.get(key)
         if hit is None:
-            e = list(unpack_key(key, alg.nparams))
-            f = Fraction(1, alg._pack(tuple(e))[1])
+            e = list(alg._unpack(key)[0])
+            f = R1
             for p, v in values.items():
                 if e[p]:
-                    f *= v ** e[p]
+                    f *= (v / alg.scales[p]) ** e[p]
                     e[p] = 0
-            hit = memo[key] = (tuple(e), _lower(f))
+            e = tuple(e)
+            k2, w = alg._pack(e)
+            hit = memo[key] = (k2, _lower(f), e, _lower(f / w))
         return hit
 
     return spec
@@ -878,7 +862,7 @@ def _coords(flat, slots, spec):
     appended to ``slots``."""
     vec = {}
     for (m, g, k), x in flat.items():
-        e, f = spec(k)
+        _, _, e, f = spec(k)
         if f:
             key = (m, g, e)
             idx = slots.get(key)
@@ -952,6 +936,7 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
     if d // 2 + alg._kappa_exp * ((d + 1) // 2) >= _FIELD:
         raise AlgebraError("a parameter exponent of the degree-%d center could reach 2^%d" % (d, PACK_BITS))
     spec = _specializer(alg, None if include_t else t_value, c_values)
+    pack = alg._pack
     reps = {cls[0] for cls in alg.group.classes}
     everything = range(alg.group.order)
     table, inv = alg.group.table, alg.group.inv
@@ -967,23 +952,18 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
         index = {k: i for i, k in enumerate(keys)}
         images, vecs = [], []
         tracker = linalg.RankTracker()
-        for k in keys:
-            h = k[1]
+        for m, h, pe in keys:
             if h not in reps:
                 continue
-            flat = conjugation_sum(alg, _key_element(alg, k), everything)
+            # the key's element c^pe (m, h) is d^pe u^pe (m, h)
+            pk, weight = pack(pe)
+            flat = conjugation_sum(alg, SRAElement(alg, {(m, h, pk): weight}), everything)
             # independence shows on the terms at the class representatives:
             # the top-degree part of a W-invariant element at k h k^-1 is
             # k . (its part at h), so one that vanishes there is 0
             if not tracker.add(_coords({key: x for key, x in flat.items() if key[1] == h}, index, spec)):
                 continue
-            z = {}
-            for (m, g, u), x in flat.items():
-                poly = z.get((m, g))
-                if poly is None:
-                    z[(m, g)] = poly = {}
-                poly[u] = x
-            images.append(z)
+            images.append(flat)
             vecs.append(_coords(flat, index, spec))
         if len(index) > len(keys):
             raise AlgebraError("conjugation leaves the span of the degree-%d keys" % d)
@@ -1019,12 +999,14 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
             terms = {}
             for i, coef in zip(cols, linalg.clear_denominators([reduced.rows[p][top - i] for i in cols])):
                 m, g, pe = keys[i]
-                K.emap_axpy(terms, (m, g), {pe: coef}, R1)
-            out.append(SRAElement(alg, {k: ParamPoly(alg.nparams, v) for k, v in terms.items()}))
+                pk, weight = pack(pe)
+                terms[(m, g, pk)] = coef * weight
+            out.append(SRAElement(alg, terms))
         return out
 
     if c_values is not None:
         elements = central_combinations(_coord_keys(alg, d, c_values, include_t))
+        # every packed key is 0 here: the order is by (word, gid)
         elements.sort(key=lambda e: (e.vdegree(), sorted(e.terms)))
         dims = [0] * (d + 1)
         for e in elements:
@@ -1036,7 +1018,7 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
     elements = []
     dims = [0] * (d + 1)
     prev_weight_elts = {}
-    pvars = list(range(alg.nparams)) if include_t else list(range(1, alg.nparams))
+    units = [1 << (PACK_BITS * pv) for pv in range(0 if include_t else 1, alg.nparams)]
     all_keys = _coord_keys(alg, d, None, include_t)
     for w in range(d + 1):
         keys = [k for k in all_keys if len(k[0]) + 2 * sum(k[2]) == w]
@@ -1046,18 +1028,16 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
         weight_elements = central_combinations(keys)
         prev_weight_elts[w] = weight_elements
         # new = complement of (parameter * weight-(w-2) center) in weight-w center
-        old = prev_weight_elts.get(w - 2, [])
+        # u_p z spans the line of c_p z; adding the key of u_p to each
+        # packed key multiplies by it
+        old = [{(m, g, k + unit): x for (m, g, k), x in z.terms.items()}
+               for z in prev_weight_elts.get(w - 2, []) for unit in units]
         coordslots = {}
-        old_vecs = []
-        for z in old:
-            for pv in pvars:
-                zp = z.scale(ParamPoly.var(alg.nparams, pv))
-                old_vecs.append((zp, None))
-        allvecs = [(z, "old") for z, _ in old_vecs] + [(z, "new") for z in weight_elements]
         tracker = linalg.RankTracker()
-        for z, tag in allvecs:
-            isnew = tracker.add(_flatten(z, coordslots))
-            if tag == "new" and isnew:
+        for flat in old:
+            tracker.add(_coords(flat, coordslots, spec))
+        for z in weight_elements:
+            if tracker.add(_coords(z.terms, coordslots, spec)):
                 elements.append(z)
                 dims[z.vdegree()] += 1
     return CenterBasis(elements, dims, d, "symbolic")
@@ -1073,37 +1053,45 @@ def recheck_central(alg, elt, c_values=None, include_t=False, t_value=None):
     return not any(elt.commutator(u).specialize(t=t, c=c_values) for u in tests)
 
 
+def _dropped(flat):
+    """A flat map with its group parts dropped and summed: the words x
+    with x e = (the map) e, e the spherical idempotent (h e = e)."""
+    out = {}
+    for (m, _, k), x in flat.items():
+        out[(m, 0, k)] = out.get((m, 0, k), 0) + x
+    return out
+
+
 def satake_corner_check(alg, basis, d, c_values=None):
     """The corner map z -> e z e on the center: injectivity plus equality
-    with the dimension of the degree-<= d spherical corner.
+    with the dimension of the degree-<= d spherical corner.  Neither side
+    rewrites a product.
 
-    The center side is e z (= e z e for central z).  The corner side needs
-    no product: g e = e gives e m e = (1/|W|) (sum_g g m g^-1) e, a term
-    (word, h) of the sum times e is word * e, and x -> x e is injective on
-    the span of the words.  So the corner's dimension is the rank of the
-    ``conjugation_sum`` of each monomial with its group parts dropped.
-    And e (m g) e = e m e, so one sum per monomial spans the corner."""
-    e = spherical_idempotent(alg)
-
-    def center_side(z):
-        return alg.multiply(e, z).specialize(t=R0, c=c_values)
-
+    x -> x e is injective on the span of the words, and h e = e.  The
+    center side: for central z = sum_h b_h h, e z e = z e = (sum_h b_h) e,
+    so the map is injective on the basis exactly when the basis with its
+    group parts dropped and summed has full rank.  This leans on
+    centrality, which ``recheck_central`` certifies in the same report
+    with every basis vector and generator; for a z that is not central,
+    e z need not equal z e.  The corner side: g e = e gives
+    e m e = (1/|W|) (sum_g g m g^-1) e, so the corner's dimension is the
+    rank of the ``conjugation_sum`` of each monomial with its group parts
+    dropped.  And e (m g) e = e m e, so one sum per monomial spans the
+    corner."""
+    spec = _specializer(alg, R0, c_values)
     slots = {}
     tr = linalg.RankTracker()
     for z in basis:
-        tr.add(_flatten(center_side(z), slots))
+        tr.add(_coords(_dropped(z.terms), slots, spec))
     injective = tr.rank == len(basis)
 
-    spec = _specializer(alg, R0, c_values)
     slots2 = {}
     tr2 = linalg.RankTracker()
     everything = range(alg.group.order)
     for deg in range(d + 1):
         for m in combinations_with_replacement(range(alg.nv), deg):
-            words = {}
-            for (w, _g, u), x in conjugation_sum(alg, SRAElement(alg, {(m, 0): ParamPoly.one(alg.nparams)}), everything).items():
-                words[(w, 0, u)] = words.get((w, 0, u), 0) + x
-            tr2.add(_coords(words, slots2, spec))
+            flat = conjugation_sum(alg, SRAElement(alg, {(m, 0, 0): 1}), everything)
+            tr2.add(_coords(_dropped(flat), slots2, spec))
     corner_dim = tr2.rank
     return {"injective": injective, "corner_dim": corner_dim, "basis_size": len(basis), "spans_corner": injective and corner_dim == len(basis)}
 
@@ -1119,13 +1107,17 @@ def poisson_bracket(alg, z1, z2):
     inputs were not central at t = 0).
     """
     com = alg.multiply(z1, z2) - alg.multiply(z2, z1)
+    # t = d_0 u_0: dividing by t lowers the t field of a packed key by one
+    # and divides the value by d_0; setting t = 0 keeps the terms whose t
+    # field is then 0
+    d0 = Fraction(alg.scales[0])
     out = {}
-    for k, p in com.terms.items():
-        if not p.t_multiple():
+    for (m, g, k), x in com.terms.items():
+        tk = k & (_FIELD - 1)
+        if not tk:
             raise AlgebraError("inputs not central at t=0: commutator has a t-free part")
-        q = p.div_t().specialize({0: R0})
-        if q:
-            out[k] = q
+        if tk == 1:
+            out[(m, g, k - 1)] = x / d0
     return SRAElement(alg, out)
 
 

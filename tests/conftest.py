@@ -339,7 +339,7 @@ def dense_flatten(elt, slots):
     """Reference coordinates of an element: a dense list over every
     (mono, gid, param-exponent) slot known so far, new slots appended."""
     vec = [R0] * len(slots)
-    for (m, g), p in elt.terms.items():
+    for (m, g), p in elt.coefficients().items():
         for pe, c in p.terms.items():
             idx = slots.get((m, g, pe))
             if idx is None:
@@ -383,6 +383,12 @@ def _dense_specialize(elt, t, c_values):
     return elt
 
 
+def key_element(alg, key):
+    """The element c^pe (m, g) of a coordinate key (m, g, pe)."""
+    m, g, pe = key
+    return alg.element({(m, g): {pe: R1}})
+
+
 def reference_center(alg, d, c_values=None, include_t=False):
     """Reference degree-truncated center at t = 0: each candidate's
     commutators with the basis vectors and group generators as dense
@@ -411,8 +417,8 @@ def reference_center(alg, d, c_values=None, include_t=False):
 
     dims = [0] * (d + 1)
     if c_values is not None:
-        elements = combinations([S._key_element(alg, k) for k in S._coord_keys(alg, d, c_values, include_t)])
-        elements.sort(key=lambda e: (e.vdegree(), sorted(e.terms)))
+        elements = combinations([key_element(alg, k) for k in S._coord_keys(alg, d, c_values, include_t)])
+        elements.sort(key=lambda e: (e.vdegree(), sorted(e.coefficients())))
         for e in elements:
             dims[e.vdegree()] += 1
         return elements, dims
@@ -420,7 +426,7 @@ def reference_center(alg, d, c_values=None, include_t=False):
     pvars = list(range(alg.nparams)) if include_t else list(range(1, alg.nparams))
     keys = S._coord_keys(alg, d, None, include_t)
     for w in range(d + 1):
-        found = combinations([S._key_element(alg, k) for k in keys if len(k[0]) + 2 * sum(k[2]) == w])
+        found = combinations([key_element(alg, k) for k in keys if len(k[0]) + 2 * sum(k[2]) == w])
         by_weight[w] = found
         old = [z.scale(ParamPoly.var(alg.nparams, pv)) for z in by_weight.get(w - 2, []) for pv in pvars]
         slots = {}
@@ -454,7 +460,7 @@ def reference_satake(alg, basis, d, c_values=None):
     corners = []
     for deg in range(d + 1):
         for m in combinations_with_replacement(range(alg.nv), deg):
-            z = S.SRAElement(alg, {(m, 0): ParamPoly.one(alg.nparams)})
+            z = alg.element({(m, 0): ParamPoly.one(alg.nparams)})
             corners.append(_dense_specialize(spherical_corner(alg, z), R0, c_values))
     slots2 = {}
     corner_dim = dense_rank(dense_padded(corners, slots2), len(slots2))

@@ -200,7 +200,7 @@ def test_criterion_08_poisson(ch2):
                 continue
             deg = z1.vdegree() + z2.vdegree() - 2
             got = {}
-            for (m, g), p in pb(z1, z2).terms.items():
+            for (m, g), p in pb(z1, z2).coefficients().items():
                 if len(m) == deg and g == 0:
                     e = [0] * alg.nv
                     for v in m:

@@ -34,7 +34,7 @@ def test_build_s3_reflection_terms(ch3):
     for i in range(2):
         for j in range(2):
             com = ch3.y(i) * ch3.x(j) - ch3.x(j) * ch3.y(i)
-            gids |= {g for (m, g) in com.terms if g != 0}
+            gids |= {g for (m, g) in com.coefficients() if g != 0}
     assert gids == set(ch3.rdata.reflections)
     assert len(gids) == 3
 
@@ -88,7 +88,7 @@ def test_dunkl_examples(ch2):
     lowest = mod.monomial((0,))
     assert mod.lowering_basis(0, lowest) == {}
     dx = mod.lowering_basis(0, mod.monomial((1,)))
-    assert dx == {((0,), 0): ch2.algebra.parse("t - 2*c1").terms[((), 0)]}
+    assert dx == {((0,), 0): ch2.algebra.parse("t - 2*c1").coefficients()[((), 0)]}
     dx2 = mod.lowering_basis(0, mod.monomial((2,)))
     assert dx2 == {((1,), 0): ParamPoly.var(ch2.nparams, 0, coeff=rat(2))}
 
@@ -130,7 +130,7 @@ def test_euler_grading_on_module(ch2, ch3):
         for d, e in [(0, (0,) * ch.h_dim), (1, (1,) + (0,) * (ch.h_dim - 1)), (2, (2,) + (0,) * (ch.h_dim - 1))]:
             v = mod.monomial(e)
             out = mod.zero()
-            for (mono, g), p in h.specialize(t=R1).terms.items():
+            for (mono, g), p in h.specialize(t=R1).coefficients().items():
                 w = dict(v)
                 # apply right-to-left: group, then y's, then x's
                 w = mod.act(g, w)

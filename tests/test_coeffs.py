@@ -80,23 +80,6 @@ def test_raw_constructor_checks_exponent_length():
     assert ParamPoly(2, {(1, 0): 1}) * ParamPoly.var(2, 1) == ParamPoly.monomial(2, (1, 1), R1)
 
 
-def test_div_t_examples():
-    t = ParamPoly.var(2, 0)
-    c1 = ParamPoly.var(2, 1)
-    assert (t * t + t * c1).div_t() == t + c1
-    assert t.div_t() == ParamPoly.one(2)
-    with pytest.raises(ValueError):
-        c1.div_t()
-
-
-def test_div_t_roundtrip_random():
-    rng = random.Random(3)
-    t = ParamPoly.var(2, 0)
-    for _ in range(50):
-        p = rand_poly(rng)
-        assert (t * p).div_t() == p
-
-
 def test_specialize_examples():
     t = ParamPoly.var(2, 0)
     c1 = ParamPoly.var(2, 1)

@@ -72,7 +72,7 @@ def test_product_center_degree_two(chp):
         assert S.recheck_central(chp.algebra, z)
     coupled = 0
     for z in cb.elements:
-        gids = {g for (_m, g) in z.terms}
+        gids = {g for (_m, g) in z.coefficients()}
         if gids != {0}:
             coupled += 1
     assert coupled == 2

@@ -4,7 +4,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from conftest import S2_SPEC, S3_SPEC, fraction_normal_form, reference_center, reference_satake, spherical_corner
+from conftest import PRODUCT_SPEC, S2_SPEC, S3_SPEC, fraction_normal_form, reference_center, reference_satake, spherical_corner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,14 +55,14 @@ def test_rescaling_isomorphism_squares(ch2):
     a = k * k
 
     def scale_elt(w):
-        return S.SRAElement(alg, {(m, g): p * (k ** len(m)) for (m, g), p in w.terms.items()})
+        return alg.element({(m, g): p * (k ** len(m)) for (m, g), p in w.coefficients().items()})
 
     def scale_params(w):
         out = {}
-        for key, p in w.terms.items():
+        for key, p in w.coefficients().items():
             q = ParamPoly(alg.nparams, {e: c * a ** sum(e) for e, c in p.terms.items()})
             out[key] = q
-        return S.SRAElement(alg, out)
+        return alg.element(out)
 
     def psi(w):
         return scale_params(scale_elt(w))
@@ -204,10 +204,10 @@ def test_conjugation_sum_matches_products(request, fixture, form):
         z = random_element(alg, rng, max_degree=3) + random_element(alg, rng, max_degree=2).scale(ParamPoly.var(alg.nparams, 1))
         for g in rng.sample(range(grp.order), min(grp.order, 6)):
             want = alg.multiply(alg.group_elt(g), alg.multiply(z, alg.group_elt(grp.inv[g])))
-            assert S.SRAElement(alg, alg._from_u(S.conjugation_sum(alg, z, [g]))) == want
+            assert S.SRAElement(alg, S.conjugation_sum(alg, z, [g])) == want
         everything = range(grp.order)
         want = sum((alg.multiply(alg.group_elt(g), alg.multiply(z, alg.group_elt(grp.inv[g]))) for g in everything), alg.zero())
-        assert S.SRAElement(alg, alg._from_u(S.conjugation_sum(alg, z, everything))) == want
+        assert S.SRAElement(alg, S.conjugation_sum(alg, z, everything)) == want
 
 
 @pytest.mark.parametrize("fixture, expected", [("ch2", [0, 1]), ("ch3", [0, 2]), ("ch4", [0, 3]), ("ch3perm", [0, 3]),
@@ -275,7 +275,7 @@ def classical_bracket_top(alg, z1, z2):
 
     def top(z):
         d = z.vdegree()
-        return {m: p for (m, g), p in z.terms.items() if len(m) == d and g == 0}
+        return {m: p for (m, g), p in z.coefficients().items() if len(m) == d and g == 0}
 
     def to_exp(m):
         e = [0] * n
@@ -318,7 +318,7 @@ def test_poisson_leading_terms_are_classical(ch2):
             want = classical_bracket_top(alg, z1, z2)
             deg = z1.vdegree() + z2.vdegree() - 2
             got = {}
-            for (m, g), p in pb.terms.items():
+            for (m, g), p in pb.coefficients().items():
                 if len(m) == deg and g == 0:
                     e = [0] * alg.nv
                     for v in m:
@@ -433,7 +433,7 @@ def test_center_of_form_presentation():
     # the coupled element uses the form-normalized parameter: [v2, v1]
     # carries t + c1 s, so the coupling constant differs from the pairing
     # presentation by the conversion factor
-    coupled = [z for z in cb.elements if {g for (_m, g) in z.terms} != {0}]
+    coupled = [z for z in cb.elements if {g for (_m, g) in z.coefficients()} != {0}]
     assert len(coupled) == 1
 
 
@@ -525,6 +525,86 @@ def test_parse_inverts_printing(name, data):
     assert alg.parse(e.to_str()) == e
 
 
+# the S3 omega form has scales d = (1, 2), so u_1 = c_1 / 2 is not c_1;
+# the product group has two reflection orbits, three parameters
+EDGE_ALGEBRAS = {"s3-omega": lambda: engine_algebra("s3-omega"), "product": lambda: CH.build_cherednik(PRODUCT_SPEC).algebra}
+
+
+def raw_terms(alg, max_degree=2):
+    """Raw {(sorted word, gid): {exponents: nonzero Fraction}} maps."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 3)] * alg.nparams), coeff, min_size=1, max_size=3)
+    word = st.lists(st.integers(0, alg.nv - 1), max_size=max_degree).map(lambda w: tuple(sorted(w)))
+    return st.dictionaries(st.tuples(word, st.integers(0, alg.group.order - 1)), poly, max_size=4)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_ALGEBRAS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_edges_round_trip_the_c_variables(name, data):
+    """Elements hold u-variables; what goes in through ``element`` comes
+    back out of ``coefficients``, printing and parsing agree, and
+    ``specialize`` on packed keys agrees with ``ParamPoly.specialize``."""
+    alg = EDGE_ALGEBRAS[name]()
+    raw = data.draw(raw_terms(alg))
+    e = alg.element(raw)
+    assert {k: p.terms for k, p in e.coefficients().items()} == raw
+    text = e.to_str()
+    assert alg.parse(text) == e
+    assert alg.parse(text).to_str() == text
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    t = data.draw(st.none() | value)
+    c = data.draw(st.none() | st.lists(value, min_size=alg.nparams - 1, max_size=alg.nparams - 1))
+    values = {} if t is None else {0: t}
+    values.update({i + 1: v for i, v in enumerate(c or [])})
+    want = {k: p.specialize(values) for k, p in e.coefficients().items()}
+    assert e.specialize(t=t, c=c).coefficients() == {k: p for k, p in want.items() if p}
+
+
+def test_engine_paths_build_no_param_poly(g3, rd3, chprod, monkeypatch):
+    """Products, conjugation sums, the center and its corner check run on
+    the flat u-maps alone: no coefficient is converted on the way."""
+    alg = S.SRAlgebra.omega_form(g3, rd3)  # cold caches: the rewriting runs under the patch
+    rng = random.Random(23)
+    elts = [random_element(alg, rng, max_degree=3) + random_element(alg, rng).scale(ParamPoly.var(2, 1))
+            for _ in range(4)]
+    palg = chprod.algebra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ParamPoly was built")
+
+    monkeypatch.setattr(ParamPoly, "__init__", refuse)
+    for a in elts:
+        for b in elts:
+            alg.multiply(a, b)
+            alg.multiply(a, b, xcap=2)
+        S.conjugation_sum(alg, a, range(alg.group.order))
+    for c_values in (None, [rat(2, 7)]):
+        basis = S.center_basis(alg, 3, c_values=c_values)
+        S.satake_corner_check(alg, basis.elements, 3, c_values=c_values)
+    S.center_basis(palg, 2)
+    S.center_basis(palg, 2, c_values=[rat(1, 3), rat(-2, 5)])
+    monkeypatch.undo()
+    assert basis.graded_dims == [1, 0, 3, 4]  # the Molien series of S3 on h + h*
+
+
+@pytest.mark.parametrize("name", ["s3-omega", "s3-t-third"])
+def test_poisson_bracket_divides_by_t(name):
+    """{t a, b} = [a, b] at t = 0 for any a and b, with t carrying a scale
+    (3 in s3-t-third) on the packed keys; a commutator with a t-free part
+    is refused."""
+    alg = engine_algebra(name)
+    rng = random.Random(31)
+    t = ParamPoly.var(alg.nparams, 0)
+    for _ in range(6):
+        a, b = random_element(alg, rng, max_degree=3), random_element(alg, rng, max_degree=3)
+        want = (a * b - b * a).specialize(t=R0)
+        assert S.poisson_bracket(alg, a.scale(t), b) == want
+        assert S.poisson_bracket(alg, a.scale(t * t), b) == alg.zero()
+    with pytest.raises(S.AlgebraError, match="not central"):
+        S.poisson_bracket(alg, alg.gen(0), alg.gen(2))
+
+
 def test_element_rejects_exponents_the_core_cannot_hold(omega_alg3):
     # in a product, zip would silently truncate wrong-arity keys, and a
     # negative exponent would borrow from the next packed field
@@ -539,8 +619,8 @@ def test_element_rejects_exponents_the_core_cannot_hold(omega_alg3):
 
 def reference_product(alg, a, b, xcap=None):
     terms = []
-    for (m1, g1), p1 in a.terms.items():
-        for (m2, g2), p2 in b.terms.items():
+    for (m1, g1), p1 in a.coefficients().items():
+        for (m2, g2), p2 in b.coefficients().items():
             letters = [("v", v) for v in m1] + [("g", g1)] + [("v", v) for v in m2] + [("g", g2)]
             terms.append((letters, p1.terms, p2.terms))
     out = fraction_normal_form(alg, terms)
@@ -550,7 +630,7 @@ def reference_product(alg, a, b, xcap=None):
 
 
 def term_maps(elt):
-    return {k: p.terms for k, p in elt.terms.items()}
+    return {k: p.terms for k, p in elt.coefficients().items()}
 
 
 @pytest.mark.parametrize(
@@ -610,7 +690,7 @@ def _cache_values(alg):
 
 def _session(alg, coeff, count=8):
     """Products of random pairs of elements built without multiplying,
-    so that each product meets the boundary once."""
+    so that these products alone fill the caches."""
     rng = random.Random(7)
 
     def factor():
@@ -629,7 +709,7 @@ def _halves(rng):
 
 
 def _values(products):
-    return [c for elt in products for p in elt.terms.values() for c in p.terms.values()]
+    return [c for elt in products for p in elt.coefficients().values() for c in p.terms.values()]
 
 
 def test_rewriting_caches_hold_ints(g3, rd3):
@@ -696,5 +776,5 @@ def test_to_str_keys_each_group_matrix_once(monkeypatch):
         assert [e.to_str() for e in elts] == printed
     assert 0 < len(calls) <= g3.order
     for e in elts:
-        order = sorted(e.terms, key=lambda k: (len(k[0]), k[0], inner(g3.mats[k[1]])))
+        order = sorted(e.coefficients(), key=lambda k: (len(k[0]), k[0], inner(g3.mats[k[1]])))
         assert [k for k, _ in e.sorted_terms()] == order
