@@ -24,6 +24,14 @@ it.  The pairing of degree-d polynomials  B(f, g) = (f(D) g)(0)
 (substitute lowering operators for the coordinates of f) detects
 singular vectors through its kernel; total collapse of its rank detects
 finite-dimensional simple quotients.
+
+One coefficient representation runs from the lowering operator to the
+rank: a module vector is a flat map keyed by (x-exponents, component,
+packed (t, c)-monomial), as an ``sra`` element is, so the factors t and
+c(s) above are key shifts; the pairing tower reads the lowered vectors
+at t = 1 as packed Z[c] maps, and the scan ranks one integer matrix per
+value of c.  On this side ``ParamPoly`` appears only in
+``contravariant_gram``, the printed view of one degree.
 """
 
 from math import lcm
@@ -32,7 +40,7 @@ from . import groups as G
 from . import linalg
 from .coeffs import ParamPoly, R0, R1, exact, parse_rational, rat, rat_str
 from .coeffs import _kernel as K
-from .sra import SRAElement, SRAlgebra, pack_key, unpack_key
+from .sra import PACK_BITS, SRAElement, SRAlgebra, _lower, unpack_key
 from .sra import monomials as _monomials
 
 MODULE_LOWERING_SIGN = -1
@@ -87,10 +95,6 @@ class CherednikAlgebra:
 
     def group_elt(self, gid):
         return self.algebra.group_elt(gid)
-
-    def pairing(self, y_coeffs, x_coeffs):
-        """<y, x> for coordinate vectors on h and h* (dual bases)."""
-        return sum((a * b for a, b in zip(y_coeffs, x_coeffs)), R0)
 
 
 def _line_generator(mat_minus_id, dim):
@@ -234,24 +238,34 @@ def euler_element(ch):
 
 
 class StandardModule:
-    """K[h] (x) tau with exact parameter-polynomial coefficients.
+    """K[h] (x) tau with exact coefficients in Z[t, c] (Q[t, c] where the
+    data needs it).
 
-    Vectors are maps (exponent tuple over the x-coordinates, tau index)
-    -> ParamPoly.  ``tau`` maps every group id to an exact matrix; None
-    means the trivial one-dimensional representation.
+    A vector is the flat map {(exponent tuple over the x-coordinates, tau
+    index, packed (t, c1..cr)-monomial): value}, the shape of an ``sra``
+    element: ``sra.pack_key`` puts t in field 0 and orbit o in field
+    o + 1, and values are ints wherever the data is integral (every value
+    on S_n).  Multiplying by t or c_o adds one field unit to every key
+    (``mul_param``).  A lowering raises the parameter degree by one as it
+    lowers the x-degree, so no field of a vector grown from monomials
+    carries.  ``tau`` maps every group id to an exact matrix; None means
+    the trivial one-dimensional representation.
     """
 
     def __init__(self, ch, tau=None, sign=MODULE_LOWERING_SIGN):
         self.ch = ch
         self.n = ch.h_dim
-        self.sign = exact(sign)
+        self.sign = _lower(sign)
         if tau is None:
-            tau = {g: ((R1,),) for g in range(ch.group.order)}
+            tau = {g: ((1,),) for g in range(ch.group.order)}
         else:
-            tau = {g: tuple(tuple(exact(x) for x in row) for row in m) for g, m in tau.items()}
+            tau = {g: tuple(tuple(_lower(x) for x in row) for row in m) for g, m in tau.items()}
             self._validate_tau(tau)
         self.tau = tau
         self.tau_dim = len(next(iter(tau.values())))
+        self._images = {}  # (gid, exponents) -> the image of that x-monomial
+        # each reflection with its root, integral entries as ints so the lowering stays on ints
+        self._roots = [(ref, tuple(_lower(a) for a in ref.alpha)) for ref in ch.reflections]
 
     def _validate_tau(self, tau):
         grp = self.ch.group
@@ -274,39 +288,49 @@ class StandardModule:
     def zero(self):
         return {}
 
-    def monomial(self, exps, comp=0, coeff=None):
-        p = coeff if coeff is not None else ParamPoly.one(self.ch.nparams)
-        return {(tuple(exps), comp): p}
+    def monomial(self, exps, comp=0, coeff=1):
+        return {(tuple(exps), comp, 0): coeff}
 
     def add(self, u, v):
         return K.madd(u, v)
 
     def scale(self, u, c):
-        return K.mscale(u, c)
-
-    def eq(self, u, v):
-        return u == v
+        return K.mscale(u, _lower(c))
 
     def degree(self, u):
-        return max((sum(e) for (e, _) in u), default=0)
+        return max((sum(e) for (e, _, _) in u), default=0)
 
     def mul_x(self, i, u):
-        return {(_shift(e, i), c): p for (e, c), p in u.items()}
+        return {(_shift(e, i), c, k): a for (e, c, k), a in u.items()}
+
+    def mul_param(self, p, u):
+        """Parameter p (t for p = 0, the orbit-o parameter for p = o + 1)
+        times u: one field unit added to every key."""
+        unit = 1 << (PACK_BITS * p)
+        return {(e, c, k + unit): a for (e, c, k), a in u.items()}
+
+    def _image(self, gid, e):
+        """The image of x^e under ``gid`` as {exponents: coefficient},
+        memoized and built one linear form at a time: with j the last
+        variable of e, g.x^e = (g.x^(e - 1_j)) (g.x_j)."""
+        hit = self._images.get((gid, e))
+        if hit is None:
+            j = max((i for i, k in enumerate(e) if k), default=None)
+            if j is None:
+                hit = {e: 1}
+            else:
+                block = self.ch.group.hstar_block(gid)  # x_j -> sum_i block[i][j] x_i
+                form = {_shift((0,) * self.n, i): _lower(block[i][j]) for i in range(self.n) if block[i][j]}
+                hit = K.mmul(self._image(gid, _shift(e, j, -1)), form)
+            self._images[(gid, e)] = hit
+        return hit
 
     def act_poly(self, gid, u):
         """The polynomial half of the action: exponents transform, the
         lowest-weight component is untouched."""
-        n = self.n
-        block = self.ch.group.hstar_block(gid)  # action on h*: x_j -> sum_i block[i][j] x_i
-        images = [{_shift((0,) * n, i): block[i][j] for i in range(n) if block[i][j]} for j in range(n)]
         out = {}
-        for (e, comp), p in u.items():
-            # expand prod_j (sum_i block[i][j] x_i)^(e_j)
-            terms = {(0,) * n: R1}
-            for j, k in enumerate(e):
-                for _ in range(k):
-                    terms = K.mmul(terms, images[j])
-            K.maxpy(out, {(mono, comp): coeff for mono, coeff in terms.items()}, p)
+        for (e, comp, k), a in u.items():
+            K.maxpy(out, {(mono, comp, k): b for mono, b in self._image(gid, e).items()}, a)
         return out
 
     def tau_mix(self, gid, u):
@@ -315,58 +339,52 @@ class StandardModule:
         if self.tau_dim == 1:
             return self.scale(u, tau[0][0])
         out = {}
-        for (e, comp), p in u.items():
-            K.maxpy(out, {(e, c2): row[comp] for c2, row in enumerate(tau) if row[comp]}, p)
+        for (e, comp, k), a in u.items():
+            K.maxpy(out, {(e, c2, k): row[comp] for c2, row in enumerate(tau) if row[comp]}, a)
         return out
 
     def act(self, gid, u):
         """w . (f (x) u) = (w.f) (x) tau(w) u."""
         return self.tau_mix(gid, self.act_poly(gid, u))
 
-    def _divided_difference(self, u, ref):
+    def _divided_difference(self, u, ref, alpha):
         """tau(s) ((u - s-poly. u)/alpha_s): divide the polynomial parts,
         then mix the lowest-weight components."""
-        work = self.add(u, self.scale(self.act_poly(ref.gid, u), -R1))
-        alpha = ref.alpha
+        work = self.add(u, self.scale(self.act_poly(ref.gid, u), -1))
         pivot = next(i for i, v in enumerate(alpha) if v)
         inv = R1 / alpha[pivot]
         rest = [(i, a) for i, a in enumerate(alpha) if i != pivot and a]
         out = {}
-        # divide by the linear form along the pivot variable
+        # divide by the linear form along the pivot variable, all terms of
+        # the highest pivot exponent at once: subtracting q * (alpha - pivot
+        # term) adds terms one pivot exponent lower, so no key repeats
         while work:
-            # take the term with the highest pivot exponent
-            key = max(work, key=lambda k: (k[0][pivot], k[0]))
-            (e, comp) = key
-            p = work.pop(key)
-            if e[pivot] == 0:
+            top = max(e[pivot] for e, _, _ in work)
+            if top == 0:
                 raise CherednikError("division by the root form left a remainder")
-            e2 = _shift(e, pivot, -1)
-            q = p * inv
-            # keys leave work in decreasing pivot exponent, so none repeats here
-            out[(e2, comp)] = q
-            # subtract q * (alpha - pivot term)
-            K.maxpy(work, {(_shift(e2, i), comp): a for i, a in rest}, -q)
+            for e, comp, k in [key for key in work if key[0][pivot] == top]:
+                e2 = _shift(e, pivot, -1)
+                q = out[(e2, comp, k)] = _lower(work.pop((e, comp, k)) * inv)
+                K.maxpy(work, {(_shift(e2, i), comp, k): b for i, b in rest}, -q)
         return self.tau_mix(ref.gid, out)
 
     def lowering(self, y_coeffs, u):
         """The y-action: t * directional derivative + reflection terms."""
-        arity = self.ch.nparams
-        tpoly = ParamPoly.var(arity, 0)
+        ys = [(i, _lower(a)) for i, a in enumerate(y_coeffs) if a]
         out = {}
-        # t * d_y
-        for (e, comp), p in u.items():
-            derivs = {(_shift(e, i, -1), comp): a * e[i] for i, a in enumerate(y_coeffs) if a and e[i]}
-            K.maxpy(out, derivs, p * tpoly)
-        # reflection corrections
-        for ref in self.ch.reflections:
-            pair = sum((a * b for a, b in zip(y_coeffs, ref.alpha)), R0)
+        # t * d_y: t is the key's lowest field
+        for (e, comp, k), a in u.items():
+            K.maxpy(out, {(_shift(e, i, -1), comp, k + 1): y * e[i] for i, y in ys if e[i]}, a)
+        # reflection corrections, each times its orbit parameter
+        for ref, alpha in self._roots:
+            pair = sum(y * alpha[i] for i, y in ys)
             if pair:
-                cpoly = ParamPoly.var(arity, ref.orbit + 1, coeff=self.sign * pair)
-                K.maxpy(out, self._divided_difference(u, ref), cpoly)
+                dd = self.mul_param(ref.orbit + 1, self._divided_difference(u, ref, alpha))
+                K.maxpy(out, dd, _lower(self.sign * pair))
         return out
 
     def lowering_basis(self, i, u):
-        return self.lowering([R1 if j == i else R0 for j in range(self.n)], u)
+        return self.lowering([1 if j == i else 0 for j in range(self.n)], u)
 
 
 def solve_module_sign(ch, degree=3):
@@ -414,11 +432,11 @@ def module_relation_report(ch, max_degree, tau=None):
             for j in range(i + 1, n):
                 a = mod.mul_x(i, mod.mul_x(j, u))
                 b = mod.mul_x(j, mod.mul_x(i, u))
-                if not mod.eq(a, b):
+                if a != b:
                     ok["x_commute"] = False
                 a = mod.lowering_basis(i, mod.lowering_basis(j, u))
                 b = mod.lowering_basis(j, mod.lowering_basis(i, u))
-                if not mod.eq(a, b):
+                if a != b:
                     ok["y_commute"] = False
         for g in range(grp.order):
             hst = grp.hstar_block(g)
@@ -430,11 +448,11 @@ def module_relation_report(ch, max_degree, tau=None):
                 for i in range(n):
                     if hst[i][j]:
                         rhs = mod.add(rhs, mod.scale(mod.mul_x(i, u), hst[i][j]))
-                if not mod.eq(lhs, rhs):
+                if lhs != rhs:
                     ok["w_x_conjugation"] = False
                 lhs = mod.act(g, mod.lowering_basis(j, mod.act(grp.inv[g], u)))
                 rhs = mod.lowering([hb[i][j] for i in range(n)], u)
-                if not mod.eq(lhs, rhs):
+                if lhs != rhs:
                     ok["w_y_conjugation"] = False
         if not _y_x_commutator_holds(ch, mod, u):
             ok["y_x_commutator"] = False
@@ -448,19 +466,14 @@ def _y_x_commutator_holds(ch, mod, u):
         for j in range(n):
             lhs = mod.add(
                 mod.lowering_basis(i, mod.mul_x(j, u)),
-                mod.scale(mod.mul_x(j, mod.lowering_basis(i, u)), -R1),
+                mod.scale(mod.mul_x(j, mod.lowering_basis(i, u)), -1),
             )
-            rhs = {}
-            if i == j:
-                rhs = mod.scale(u, ParamPoly.var(ch.nparams, 0))
+            rhs = mod.mul_param(0, u) if i == j else {}
             for ref in ch.reflections:
                 coeff = -(ref.alpha_vee[j] * ref.alpha[i])
                 if coeff:
-                    rhs = mod.add(
-                        rhs,
-                        mod.scale(mod.act(ref.gid, u), ParamPoly.var(ch.nparams, ref.orbit + 1, coeff=coeff)),
-                    )
-            if not mod.eq(lhs, rhs):
+                    K.maxpy(rhs, mod.mul_param(ref.orbit + 1, mod.act(ref.gid, u)), _lower(coeff))
+            if lhs != rhs:
                 return False
     return True
 
@@ -490,18 +503,19 @@ def packed_gram_tower(ch, cutoff, c_values=None, tau=None):
     coordinate and column) instead of d * dim_d^2; only the previous
     degree's matrix and monomial index are kept while building.
 
-    Each coefficient of D_i g is read at t = 1 (and at ``c_values``,
-    which may name the first few orbits) straight into a packed map: one
-    int key per c-monomial (``sra.pack_key``: the exponent of orbit o in
-    bits [PACK_BITS*o, PACK_BITS*(o+1))), so a one-orbit key is the
-    exponent of c itself.  Values are ints where integral (every
-    value on S_n) and ``Fraction`` otherwise.  Each entry accumulates
-    through ``coeffs._kernel.emap_addmul``; specializing before the
-    products gives the same values, as specialization is a ring
-    homomorphism.
-
     D_i is the lowering operator of the i-th dual basis vector
-    (``StandardModule.lowering_basis``).  Returns a list of (monomials, rows) per degree, with each row a
+    (``StandardModule.lowering_basis``), and D_i g is already a packed
+    map in (t, c).  Its coefficients are read at t = 1 (and at
+    ``c_values``, which may name the first few orbits) by dropping the t
+    field of each key (``_packed_at_t1``), which leaves one int key per
+    c-monomial: the exponent of orbit o in bits [PACK_BITS*o,
+    PACK_BITS*(o+1)), so a one-orbit key is the exponent of c itself.
+    Values are ints where integral (every value on S_n) and ``Fraction``
+    otherwise.  Each entry accumulates through
+    ``coeffs._kernel.emap_addmul``; specializing before the products gives
+    the same values, as specialization is a ring homomorphism.
+
+    Returns a list of (monomials, rows) per degree, with each row a
     sparse map {column: packed polynomial} that omits zero entries.
     """
     if cutoff < 0:
@@ -510,7 +524,7 @@ def packed_gram_tower(ch, cutoff, c_values=None, tau=None):
     if mod.tau_dim != 1:
         raise CherednikError("the pairing matrix is implemented for one-dimensional lowest weights")
     n = ch.h_dim
-    fixed = dict(enumerate(exact(v) for v in c_values or ()))
+    fixed = [(PACK_BITS * o, exact(v)) for o, v in enumerate(c_values or ())]
     prev_index = {(0,) * n: 0}
     prev_rows = [{0: {0: 1}}]
     tower = [([(0,) * n], prev_rows)]
@@ -521,13 +535,8 @@ def packed_gram_tower(ch, cutoff, c_values=None, tau=None):
         for i in range(n):
             cols = []
             for g in monos:
-                vec = mod.lowering_basis(i, mod.monomial(g))
-                col = []
-                for (e, _), p in vec.items():
-                    val = _packed_at_t1(p, fixed)
-                    if val:
-                        col.append((prev_index[e], val))
-                cols.append(col)
+                vec = _packed_at_t1(mod.lowering_basis(i, mod.monomial(g)), fixed)
+                cols.append([(prev_index[e], val) for e, val in vec.items() if val])
             lowered.append(cols)
         rows = []
         for f in monos:
@@ -547,36 +556,28 @@ def packed_gram_tower(ch, cutoff, c_values=None, tau=None):
     return tower
 
 
-def _packed_at_t1(p, fixed):
-    """A parameter polynomial at t = 1 and at the orbit values ``fixed``
-    ({orbit: value}) as a packed map; integral values become ints."""
+def _packed_at_t1(vec, fixed):
+    """A module vector's coefficients at t = 1 and at the orbit values
+    ``fixed`` ((field shift, value) pairs) as {exponents: packed Z[c]
+    map}, integral values made ints: dropping the t field is
+    ``key >> PACK_BITS``, after which orbit o sits in field o."""
+    mask = (1 << PACK_BITS) - 1
     out = {}
-    for e, a in p.terms.items():
-        free = list(e[1:])
-        for o, v in fixed.items():
-            if free[o]:
-                a = a * v ** free[o]
-                free[o] = 0
-        key = pack_key(free)
-        out[key] = out.get(key, 0) + a
-    return {key: (a.numerator if a.denominator == 1 else a) for key, a in out.items() if a}
+    for (e, _, key), a in vec.items():
+        key >>= PACK_BITS
+        for shift, v in fixed:
+            k = (key >> shift) & mask
+            if k:
+                a = a * v**k
+                key -= k << shift
+        poly = out.setdefault(e, {})
+        poly[key] = poly.get(key, 0) + a
+    return {e: {key: _lower(a) for key, a in poly.items() if a} for e, poly in out.items()}
 
 
 def _unpacked(m, nparams):
     """A packed map at t = 1 as a ``ParamPoly`` with ``Fraction`` values."""
     return ParamPoly(nparams, {(0,) + unpack_key(key, nparams - 1): exact(a) for key, a in m.items()})
-
-
-def gram_tower(ch, cutoff, c_values=None, tau=None):
-    """``packed_gram_tower`` with its entries converted once to parameter
-    polynomials: a list of (monomials, rows) per degree, rows dense, each
-    entry a ``ParamPoly`` at t = 1 (constant where ``c_values`` names every
-    orbit); see ``contravariant_gram``."""
-    out = []
-    for monos, rows in packed_gram_tower(ch, cutoff, c_values=c_values, tau=tau):
-        dense = [[_unpacked(row.get(j, {}), ch.nparams) for j in range(len(monos))] for row in rows]
-        out.append((monos, dense))
-    return out
 
 
 def contravariant_gram(ch, d, c_values=None, tau=None):
@@ -589,52 +590,37 @@ def contravariant_gram(ch, d, c_values=None, tau=None):
     so its ranks and kernels, which are all the scan verdicts consume,
     are those of the symmetric form.  B_0 = 1.
 
-    Built by ``gram_tower``: the degree-d matrix comes from the
-    degree-(d-1) one by peeling the lowest index of each row monomial,
-    f = x_i f', with B_d(f, g) = sum_h B_{d-1}(f', h) (D_i g)_h, at a cost
-    of n * dim_k lowering applications for each degree k <= d.
+    The degree-d level of ``packed_gram_tower`` (which peels the lowest
+    index of each row monomial, f = x_i f', with B_d(f, g) = sum_h
+    B_{d-1}(f', h) (D_i g)_h, at a cost of n * dim_k lowering
+    applications for each degree k <= d), rows made dense and each entry
+    converted once to a ``ParamPoly``: the parameter-polynomial view that
+    ``cherednik gram`` prints.
 
     ``tau`` restricts to one-dimensional lowest weights here (matrices
     per group element); None means trivial.  Entries are parameter
-    polynomials in the orbit parameters (or rationals when ``c_values``
-    specializes them).  Row/column order is the sorted exponent order of
-    ``sra.monomials``.
+    polynomials in the orbit parameters (constants when ``c_values``
+    specializes them all).  Row/column order is the sorted exponent
+    order of ``sra.monomials``.
     """
-    return gram_tower(ch, d, c_values=c_values, tau=tau)[d]
+    monos, rows = packed_gram_tower(ch, d, c_values=c_values, tau=tau)[d]
+    return monos, [[_unpacked(row.get(j, {}), ch.nparams) for j in range(len(monos))] for row in rows]
 
 
 def gram_rank(rows):
-    """Rank of a rational Gram matrix (entries constant polynomials)."""
-    num = []
-    for row in rows:
-        out = []
-        for p in row:
-            if isinstance(p, ParamPoly):
-                if not p.is_const():
-                    raise CherednikError("rank needs specialized parameters")
-                out.append(p.const_value())
-            else:
-                out.append(p)
-        num.append(out)
-    if not num:
-        return 0
-    return linalg.rank(num, len(num[0]))
+    """Rank of a ``contravariant_gram`` matrix at specialized parameters."""
+    if not all(p.is_const() for row in rows for p in row):
+        raise CherednikError("rank needs specialized parameters")
+    return linalg.rank([[p.const_value() for p in row] for row in rows], len(rows))
 
 
 def gram_kernel_vectors(ch, d, c_values):
-    """Kernel of the degree-d pairing at specialized parameters, as
-    module vectors (the singular-vector candidates)."""
-    monos, rows = contravariant_gram(ch, d, c_values=c_values)
-    num = [[p.const_value() for p in row] for row in rows]
-    mod = StandardModule(ch)
-    out = []
-    for v in linalg.nullspace(num, len(monos)):
-        vec = {}
-        for coef, e in zip(v, monos):
-            if coef:
-                vec = mod.add(vec, mod.monomial(e, coeff=ParamPoly.const(ch.nparams, coef)))
-        out.append(vec)
-    return out
+    """Kernel of the degree-d pairing at specialized parameters (the
+    constant terms of its packed entries), as module vectors with
+    constant coefficients (the singular-vector candidates)."""
+    monos, rows = packed_gram_tower(ch, d, c_values=c_values)[d]
+    num = [[row.get(j, {}).get(0, 0) for j in range(len(monos))] for row in rows]
+    return [{(e, 0, 0): _lower(a) for a, e in zip(v, monos) if a} for v in linalg.nullspace(num, len(monos))]
 
 
 def _rank_profile_verdict(ranks, cutoff):

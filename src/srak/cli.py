@@ -8,10 +8,11 @@ shorthand ``symmetric:<n>:<rep>``.  Reports are deterministic JSON on
 stdout (or --out); human summaries and timing go to stderr.  Exit codes:
 0 all verdicts pass, 1 some check failed, 2 parse/spec errors (among
 them ``ArityError``, an exponent vector of the wrong length or with a
-negative entry, a typea ``--slice-cutoff`` of 0, a be-iso ``--order``
-below 2 and a be-iso ``--c`` other than ``generic``), 3 computational
-precondition failures, 4 internal error (any other exception; its
-traceback goes to stderr).  No environment variable is consulted.
+negative entry, a typea ``--n`` below 2, a typea ``--slice-cutoff`` of
+0, a be-iso ``--order`` below 2 and a be-iso ``--c`` other than
+``generic``), 3 computational precondition failures, 4 internal error
+(any other exception; its traceback goes to stderr).  No environment
+variable is consulted.
 """
 
 import argparse
@@ -73,29 +74,20 @@ def parse_c_list(text):
     return [parse_rational(chunk) for chunk in text.split(",") if chunk.strip()]
 
 
-def non_negative_int(text):
-    """argparse type for degrees and cutoffs."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected a non-negative integer, got %s" % text)
-    return value
+def int_at_least(low):
+    """argparse type for an int of at least ``low``: 0 for degrees and
+    cutoffs, 1 for the typea slice cutoff (a cutoff of 0 decides nothing),
+    2 for typea ``--n`` (S_1 has no reflection) and for the be-iso
+    truncation order (relations are checked modulo order - 1, so order 1
+    checks nothing)."""
 
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("expected an integer of at least %d, got %s" % (low, text))
+        return value
 
-def positive_int(text):
-    """argparse type for the typea slice cutoff, where 0 decides nothing."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %s" % text)
-    return value
-
-
-def truncation_order(text):
-    """argparse type for the be-iso truncation order: relations are checked
-    modulo order - 1, so an order below 2 checks nothing."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("expected a truncation order of at least 2, got %s" % text)
-    return value
+    return integer
 
 
 def parse_c_values(text, nparams):
@@ -360,7 +352,7 @@ def build_parser():
     sm.set_defaults(fn=cmd_sra_mul)
     sc = ssub.add_parser("center")
     sc.add_argument("--group", required=True)
-    sc.add_argument("--deg", type=non_negative_int, required=True)
+    sc.add_argument("--deg", type=int_at_least(0), required=True)
     sc.add_argument("--c", default="generic")
     sc.add_argument("--sample", action="store_true",
                     help="specialize at deterministic sampled rationals instead of symbolic parameters")
@@ -386,20 +378,20 @@ def build_parser():
     cg = chsub.add_parser("gram")
     cg.add_argument("--group", required=True)
     cg.add_argument("--c", default="generic")
-    cg.add_argument("--deg", type=non_negative_int, required=True)
+    cg.add_argument("--deg", type=int_at_least(0), required=True)
     add_out(cg)
     cg.set_defaults(fn=cmd_cherednik_gram)
     csn = chsub.add_parser("scan")
     csn.add_argument("--group")
     csn.add_argument("--builtin")
     csn.add_argument("--c-list", dest="c_list", required=True)
-    csn.add_argument("--cutoff", type=non_negative_int, required=True)
+    csn.add_argument("--cutoff", type=int_at_least(0), required=True)
     add_out(csn)
     csn.set_defaults(fn=cmd_cherednik_scan)
     ct = chsub.add_parser("typea")
-    ct.add_argument("--n", type=int, required=True)
+    ct.add_argument("--n", type=int_at_least(2), required=True)
     ct.add_argument("--c", required=True)
-    ct.add_argument("--slice-cutoff", dest="slice_cutoff", type=positive_int)
+    ct.add_argument("--slice-cutoff", dest="slice_cutoff", type=int_at_least(1))
     add_out(ct)
     ct.set_defaults(fn=cmd_cherednik_typea)
 
@@ -409,7 +401,7 @@ def build_parser():
     bv.add_argument("--group", required=True)
     bv.add_argument("--b", required=True)
     bv.add_argument("--c", default="generic")
-    bv.add_argument("--order", type=truncation_order, required=True)
+    bv.add_argument("--order", type=int_at_least(2), required=True)
     add_out(bv)
     bv.set_defaults(fn=cmd_be_iso_verify)
 

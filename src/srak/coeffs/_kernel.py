@@ -11,7 +11,8 @@ falsy).  Results never alias their inputs; only ``maxpy``,
 first argument.
 
 Two convolutions: ``mmul`` adds exponent tuples componentwise, for
-``ParamPoly`` products and ``cherednik.StandardModule.act_poly``;
+``ParamPoly`` products and for the memo of group images of x-monomials
+in ``cherednik.StandardModule`` (one product per new image);
 ``pmul``, the fused ``emap_addmul`` and ``pbw_addmul`` take packed int
 keys, whose sum is the product monomial.  ``pbw_addmul`` is the PBW
 engine's accumulator (see ``sra``, which packs exponent vectors and
@@ -20,15 +21,16 @@ guards the fields against carries): one call adds a whole flat map
 its cached normal forms, times a packed polynomial, the group part
 multiplied on the right by one element through the Cayley table.  It
 fills the rewriting caches and ``multiply``'s product, and forms
-conjugation sums, center brackets and scalar multiples.  ``pmul`` forms
-the coefficient products of ``multiply``'s two factors, and
-``emap_addmul`` the Z[c] pairing entries of
-``cherednik.packed_gram_tower``.
+conjugation sums, center brackets, scalar multiples and right factors
+that are group elements.  ``pmul`` forms the coefficient products of
+``multiply``'s two factors, and ``emap_addmul`` the Z[c] pairing entries
+of ``cherednik.packed_gram_tower``.
 
 Callers: ``ParamPoly`` arithmetic, the PBW engine and its elements
 (``sra``, which converts to ``ParamPoly`` only to parse, print and take
-user input), the Dunkl module vectors and pairing matrices
-(``cherednik``), group-algebra coefficients
+user input), the Dunkl module vectors (flat maps {(x-exponents,
+component, packed (t, c) key): value}, whose products by t and c are key
+shifts) and pairing matrices (``cherednik``), group-algebra coefficients
 (``centralizer.GroupAlgebraCoefficients``) and the sparse rows of the
 elimination (``linalg.RankTracker``).  One loop stays outside
 on purpose: ``SRAlgebra._gexpand``, the PBW hot loop, where building a

@@ -431,12 +431,14 @@ class SRAlgebra:
                     K.pbw_addmul(out, src, poly, q, table, table[gp][g12])
         return SRAElement(self, out)
 
-    def _times(self, poly, elt):
-        """``elt`` times the scalar {packed key: value} ``poly``; raises
-        AlgebraError when an exponent would not fit its field."""
+    def _times(self, poly, elt, g=0):
+        """``elt`` times the scalar {packed key: value} ``poly`` and, on the
+        right, the group element ``g`` (a relabeling through the Cayley
+        table); raises AlgebraError when an exponent would not fit its
+        field."""
         if self._top(poly) + self._top(k for _, _, k in elt.terms) >= _FIELD:
             raise AlgebraError("a parameter exponent of this product could reach 2^%d" % PACK_BITS)
-        return SRAElement(self, K.pbw_addmul({}, elt.terms, poly, 1, self.group.table, 0))
+        return SRAElement(self, K.pbw_addmul({}, elt.terms, poly, 1, self.group.table, g))
 
     def normalize_word(self, factors):
         """Normal form of a product of factors.
@@ -669,6 +671,15 @@ def _parse_element(alg, text):
         for s, f in ((a, b), (b, a)):
             if all(not m and not g for m, g, _ in s.terms):
                 return alg._times({k: x for (_, _, k), x in s.terms.items()}, f)
+        if len(b.terms) == 1:
+            ((m, g, k), x), = b.terms.items()
+            if not m:
+                # a group element on the right relabels the group parts
+                return alg._times({k: x}, a, g)
+            if len(m) == 1 and not g and not k and all(not h and m >= w[-1:] for w, h, _ in a.terms):
+                # a letter at or after the last one of every word, with no
+                # group part in between, leaves each word sorted
+                return SRAElement(alg, {(w + m, 0, kw): c * x for (w, _, kw), c in a.terms.items()})
         return a * b
 
     def parse_factor():

@@ -180,10 +180,20 @@ def exhaustive_relations(iso):
     return verdicts
 
 
+def unpacked(vec, nparams):
+    """A Dunkl module vector {(exponents, component, packed (t, c) key):
+    value} as {(exponents, component): ParamPoly}: the one place the tests
+    read packed module values."""
+    out = {}
+    for (e, comp, key), a in vec.items():
+        out.setdefault((e, comp), {})[S.unpack_key(key, nparams)] = Fraction(a)
+    return {k: ParamPoly(nparams, terms) for k, terms in out.items()}
+
+
 def pairwise_gram(ch, d, c_values=None, tau=None):
     """Reference pairing matrix: B(f, g) = (f(D) g)(0) pair by pair, with
     f(D) applying every D_0 first, then D_1, ..., and specializing at t = 1
-    (and at ``c_values``) only at the end."""
+    (and at ``c_values``) only at the end, through ``ParamPoly.specialize``."""
     mod = CH.StandardModule(ch, tau=tau)
     n = ch.h_dim
     spec = {0: R1}
@@ -198,19 +208,19 @@ def pairwise_gram(ch, d, c_values=None, tau=None):
             for i in range(n):
                 for _ in range(f[i]):
                     vec = mod.lowering_basis(i, vec)
-            row.append(vec.get(((0,) * n, 0), ParamPoly.zero(ch.nparams)).specialize(spec))
+            row.append(unpacked(vec, ch.nparams).get(((0,) * n, 0), ParamPoly.zero(ch.nparams)).specialize(spec))
         rows.append(row)
     return monos, rows
 
 
 def reference_scan(ch, c_values, cutoff):
     """Reference scan, one value at a time: both symbolic towers as
-    ``ParamPoly`` matrices (``gram_tower``), then for each c every entry
-    specialized (``ParamPoly.specialize``) and every matrix ranked over
-    ``Fraction`` (``linalg.rank``); the verdicts combine as in
-    ``cherednik.scan_one``."""
-    towers = {"trivial": CH.gram_tower(ch, cutoff),
-              "determinant": CH.gram_tower(ch, cutoff, tau=CH.determinant_character(ch))}
+    ``ParamPoly`` matrices (``contravariant_gram`` per degree), then for
+    each c every entry specialized (``ParamPoly.specialize``) and every
+    matrix ranked over ``Fraction`` (``linalg.rank``); the verdicts
+    combine as in ``cherednik.scan_one``."""
+    towers = {name: [CH.contravariant_gram(ch, d, tau=tau) for d in range(cutoff + 1)]
+              for name, tau in (("trivial", None), ("determinant", CH.determinant_character(ch)))}
     out = []
     for c in c_values:
         cval = Fraction(c)

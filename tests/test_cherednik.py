@@ -9,7 +9,7 @@ from srak import sra as S
 from srak.coeffs import ParamPoly, R0, R1, parse_rational, rat
 from srak.selftest import tampered_cherednik
 
-from conftest import S3_SPEC, WEYL_SPEC, pairwise_gram, reference_scan
+from conftest import S3_SPEC, WEYL_SPEC, pairwise_gram, reference_scan, unpacked
 
 
 def test_build_rank_one(ch2):
@@ -88,9 +88,12 @@ def test_dunkl_examples(ch2):
     lowest = mod.monomial((0,))
     assert mod.lowering_basis(0, lowest) == {}
     dx = mod.lowering_basis(0, mod.monomial((1,)))
-    assert dx == {((0,), 0): ch2.algebra.parse("t - 2*c1").coefficients()[((), 0)]}
+    assert unpacked(dx, ch2.nparams) == {((0,), 0): ch2.algebra.parse("t - 2*c1").coefficients()[((), 0)]}
     dx2 = mod.lowering_basis(0, mod.monomial((2,)))
-    assert dx2 == {((1,), 0): ParamPoly.var(ch2.nparams, 0, coeff=rat(2))}
+    assert unpacked(dx2, ch2.nparams) == {((1,), 0): ParamPoly.var(ch2.nparams, 0, coeff=rat(2))}
+    # t is the lowest field of a packed key and c1 the next; values are ints
+    assert dx == {((0,), 0, 1): 1, ((0,), 0, 1 << S.PACK_BITS): -2}
+    assert all(type(a) is int for a in dx2.values())
 
 
 def test_dunkl_degree_drop(ch3):
@@ -139,10 +142,15 @@ def test_euler_grading_on_module(ch2, ch3):
                         w = mod.lowering_basis(vi - ch.h_dim, w)
                     else:
                         w = mod.mul_x(vi, w)
-                w = mod.scale(w, p.specialize({0: R1}))
-                out = mod.add(out, w)
+                # times the coefficient p: a parameter exponent is a key shift
+                for pe, a in p.specialize({0: R1}).terms.items():
+                    term = w
+                    for pv, k in enumerate(pe):
+                        for _ in range(k):
+                            term = mod.mul_param(pv, term)
+                    out = mod.add(out, mod.scale(term, a))
             # out = (d + const) v
-            coeff = out.get((e, 0), ParamPoly.zero(ch.nparams)).specialize({0: R1})
+            coeff = unpacked(out, ch.nparams).get((e, 0), ParamPoly.zero(ch.nparams)).specialize({0: R1})
             consts.add((coeff - ParamPoly.const(ch.nparams, rat(d))).to_str())
         assert len(consts) == 1
 
@@ -168,10 +176,9 @@ def test_gram_b0_and_singular_vector(ch2):
 
 
 def _assert_tower_matches(ch, cutoff, c_values=None, tau=None):
-    tower = CH.gram_tower(ch, cutoff, c_values=c_values, tau=tau)
-    assert len(tower) == cutoff + 1
-    for d, level in enumerate(tower):
-        assert level == pairwise_gram(ch, d, c_values=c_values, tau=tau), d
+    assert len(CH.packed_gram_tower(ch, cutoff, c_values=c_values, tau=tau)) == cutoff + 1
+    for d in range(cutoff + 1):
+        assert CH.contravariant_gram(ch, d, c_values=c_values, tau=tau) == pairwise_gram(ch, d, c_values=c_values, tau=tau), d
 
 
 @pytest.mark.parametrize("weight", ["trivial", "determinant"])
@@ -191,6 +198,9 @@ def test_gram_tower_matches_pairwise_specialized(ch3):
 def test_gram_tower_matches_pairwise_s4():
     ch4 = CH.build_cherednik({"builtin": {"type": "symmetric", "n": 4, "rep": "reflection"}})
     _assert_tower_matches(ch4, 4)
+    # specialized before the products, on both weights
+    _assert_tower_matches(ch4, 4, c_values=[rat(1, 4)])
+    _assert_tower_matches(ch4, 4, c_values=[rat(-2, 3)], tau=CH.determinant_character(ch4))
 
 
 def test_gram_tower_keeps_operator_order(ch3):
@@ -229,12 +239,11 @@ def test_gram_kernel_vectors_are_singular(ch2, ch3):
         kern = CH.gram_kernel_vectors(ch, first, [c])
         assert kern
         for vec in kern:
-            w = {k: p.specialize(spec) for k, p in vec.items()}
-            w = {k: p for k, p in w.items() if p}
+            # constant coefficients: every packed key is 0
+            assert vec and all(key == 0 for (_, _, key) in vec)
             for i in range(ch.h_dim):
-                out = mod.lowering_basis(i, w)
-                out = {k: p.specialize(spec) for k, p in out.items()}
-                assert not any(out.values())
+                out = unpacked(mod.lowering_basis(i, vec), ch.nparams)
+                assert not any(p.specialize(spec) for p in out.values())
 
 
 def test_gram_kernel_is_lowering_stable(ch2, ch3):
@@ -254,13 +263,12 @@ def test_gram_kernel_is_lowering_stable(ch2, ch3):
             span = linalg.RankTracker()
             for vec in prev_kernel:
                 coords = [R0] * len(monos_prev)
-                for (e, _), p in vec.items():
+                for (e, _), p in unpacked(vec, ch.nparams).items():
                     coords[idx[e]] = p.specialize(spec).const_value()
                 span.add(coords)
             for vec in kern_d:
-                w = {k: p.specialize(spec) for k, p in vec.items()}
                 for i in range(ch.h_dim):
-                    out = mod.lowering_basis(i, w)
+                    out = unpacked(mod.lowering_basis(i, vec), ch.nparams)
                     coords = [R0] * len(monos_prev)
                     for (e, _), p in out.items():
                         val = p.specialize(spec).const_value()
@@ -318,16 +326,21 @@ def test_scan_matches_per_value_reference(request, n, cutoff, cs):
 
 
 def test_scan_values_build_no_param_poly(ch3, monkeypatch):
-    grams = CH.scan_grams(ch3, 8)
-
+    # the Dunkl lowering, the towers, the per-value ranks and the module's
+    # relation checks all run on packed maps
     def refuse(*args, **kwargs):
-        raise AssertionError("a parameter polynomial was built for one c")
+        raise AssertionError("a parameter polynomial was built on the packed path")
 
     monkeypatch.setattr(ParamPoly, "specialize", refuse)
     monkeypatch.setattr(ParamPoly, "__init__", refuse)
+    grams = CH.scan_grams(ch3, 8)
     got = [CH.scan_one(grams, 8, Fraction(c)) for c in ("1/3", "-2/3", "1/2", "5/4", "7")]
+    rels = [CH.module_relation_report(ch3, 3, tau=tau) for tau in (None, CH.determinant_character(ch3))]
+    sign = CH.solve_module_sign(ch3)
     monkeypatch.undo()
     assert got == reference_scan(ch3, ["1/3", "-2/3", "1/2", "5/4", "7"], 8)
+    assert all(all(r.values()) for r in rels), rels
+    assert sign == CH.MODULE_LOWERING_SIGN
 
 
 def _evaluated_rank(rows, c):

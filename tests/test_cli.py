@@ -83,6 +83,9 @@ def test_scan_builtin_and_preset():
     ["cherednik", "scan", "--builtin", "symmetric:2:reflection", "--c-list", "1/2", "--cutoff", "-1"],
     ["cherednik", "typea", "--n", "3", "--c", "1/2", "--slice-cutoff", "-1"],
     ["cherednik", "typea", "--n", "5", "--c", "1/2", "--slice-cutoff", "0"],
+    ["cherednik", "typea", "--n", "1", "--c", "1/2"],
+    ["cherednik", "typea", "--n", "0", "--c", "1/2"],
+    ["cherednik", "typea", "--n", "-3", "--c", "1/2"],
     ["cherednik", "scan", "--builtin", "symmetric:2:reflection", "--c-list", ",", "--cutoff", "2"],
     ["cherednik", "gram", "--group", "symmetric:2:reflection", "--deg", "-1"],
     ["sra", "center", "--group", "symmetric:2:reflection", "--deg", "-1"],
@@ -97,7 +100,8 @@ def test_scan_builtin_and_preset():
     ["be-iso", "verify", "--group", "symmetric:2:reflection", "--b", "1", "--order", "-2"],
     ["be-iso", "verify", "--group", "symmetric:2:reflection", "--b", "1", "--order", "1"],
     ["be-iso", "verify", "--group", "symmetric:2:reflection", "--b", "1", "--c", "1/2", "--order", "3"],
-], ids=["scan-cutoff", "typea-slice-cutoff", "typea-slice-cutoff-0", "scan-empty-c-list", "gram-deg", "center-deg",
+], ids=["scan-cutoff", "typea-slice-cutoff", "typea-slice-cutoff-0", "typea-n-1", "typea-n-0", "typea-n-negative",
+        "scan-empty-c-list", "gram-deg", "center-deg",
         "expr-open-power", "expr-open-product", "expr-empty", "expr-open-paren", "mul-unknown-symbol",
         "poisson-open-power", "expr-huge-exponent", "be-iso-order-0", "be-iso-order-negative", "be-iso-order-1",
         "be-iso-numeric-c"])
