@@ -1,4 +1,5 @@
-"""Centralizer-of-induction construction over a pluggable coefficient algebra.
+"""Centralizer-of-induction construction: coset matrices over entries that
+do their own arithmetic.
 
 For finite groups H <= G and a unital algebra A carrying (an image of)
 H, the H-equivariant functions G -> A form a free right A-module of rank
@@ -8,10 +9,16 @@ representative of each coset is the element with minimal canonical
 matrix key, the identity coset first, so the realization is
 deterministic).  The module provides the coset idempotents, the group
 and invariant embeddings, the Morita witness and the rank count of the
-smash-product realization with A0 = Q.  Two coefficient rings implement
-``CoefficientAlgebra``: the subgroup's group algebra
-(``GroupAlgebraCoefficients``) and the truncated completion
-(``completion.TruncatedCoefficients``).
+smash-product realization with A0 = Q.
+
+An entry is any value with ``x + y``, ``-x``, ``x * y``, ``x == y`` and
+``bool(x)``, the last meaning "not an exact zero"; a rational or a
+``ParamPoly`` r scales it as ``r * x``.  The context takes the map from
+each element of H (a parent group id) to its coefficient, and reads zero
+and one off it.  Two kinds of entries are used: group-only elements of
+``sra.SRAlgebra(group, {}, 1)``, which is the group algebra of G with
+``alg.group_elt`` as the map (the selftest's coset-matrix checks), and
+the truncated completion's ``completion.TElt``.
 
 The identity  u e(x) u^{-1} = e(x . u^{-1})  (right coset action) is the
 orientation that the left-module matrix realization of the defining
@@ -20,16 +27,13 @@ same family of identities reindexed by the inversion bijection.
 
 Matrix products are sparse: group images are monomial matrices and
 coordinate images mostly diagonal, so a product only multiplies pairs of
-entries that are both nonzero.  Only exact zeros are skipped
-(``CoefficientAlgebra.is_exact_zero``); an entry that is zero merely
-modulo a truncation order still takes part in the product, so that the
-order it carries reaches the result.
+entries that are both nonzero.  Only exact zeros are skipped; an entry
+that is zero merely modulo a truncation order is true, and takes part in
+the product, so that the order it carries reaches the result.
 
 Everything is exact and side-effect free.
 """
 
-from .coeffs import R0, R1
-from .coeffs import _kernel as K
 from . import linalg
 from .groups import mat_key
 
@@ -38,115 +42,23 @@ class CentralizerError(ValueError):
     pass
 
 
-class CoefficientAlgebra:
-    """Interface the matrix layer needs from a coefficient algebra.
-
-    Implementations must be associative and unital, and ``from_group``
-    supplies the image of a subgroup element.
-    """
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def scale(self, r, a):
-        raise NotImplementedError
-
-    def eq(self, a, b):
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        return self.eq(a, self.zero())
-
-    def is_exact_zero(self, a):
-        """Whether ``a`` is zero outright, so that a product with it as a
-        factor can be skipped.  Stricter than ``is_zero`` where the algebra's
-        equality is only modulo something (a truncation order)."""
-        return self.is_zero(a)
-
-    def from_group(self, parent_gid):
-        """Image of a subgroup element (parent group id)."""
-        raise NotImplementedError
-
-
-class GroupAlgebraCoefficients(CoefficientAlgebra):
-    """A = the group algebra of a subgroup (elements: dict parent-id -> Q)."""
-
-    def __init__(self, group, sub_ids):
-        self.group = group
-        self.sub_ids = sorted(sub_ids)
-        if not group.is_subgroup(self.sub_ids):
-            raise CentralizerError("coefficient group algebra needs a subgroup")
-        self.pos = {g: i for i, g in enumerate(self.sub_ids)}
-
-    def zero(self):
-        return {}
-
-    def one(self):
-        return {0: R1}
-
-    def add(self, a, b):
-        return K.madd(a, b)
-
-    def neg(self, a):
-        return K.mneg(a)
-
-    def mul(self, a, b):
-        mul = self.group.mul
-        out = {}
-        for g, x in a.items():
-            K.maxpy(out, {mul(g, h): y for h, y in b.items()}, x)
-        return out
-
-    def scale(self, r, a):
-        return K.mscale(a, r)
-
-    def eq(self, a, b):
-        return a == b
-
-    def from_group(self, parent_gid):
-        if parent_gid not in self.pos:
-            raise CentralizerError("element outside the coefficient subgroup")
-        return {parent_gid: R1}
-
-    def basis(self):
-        return [{g: R1} for g in self.sub_ids]
-
-    def coords(self, a):
-        return tuple(a.get(g, R0) for g in self.sub_ids)
-
-    def is_invariant(self, a, parent_gids):
-        """Whether conjugation by each of ``parent_gids`` fixes ``a``: it
-        moves the coefficient at h to g h g^-1."""
-        mul, inv = self.group.mul, self.group.inv
-        return all({mul(g, mul(h, inv[g])): x for h, x in a.items()} == a for g in parent_gids)
-
-
 class CentralizerContext:
-    """Fixed coset data for (G, H, A).
+    """Fixed coset data for (G, H) and the coefficient map of H.
 
     The identity coset comes first with the identity as its
     representative; every other coset is represented by its element of
     minimal canonical matrix key.
     """
 
-    def __init__(self, group, sub_ids, A):
+    def __init__(self, group, sub_ids, entry):
         self.group = group
         self.sub_ids = sorted(set(sub_ids))
         if not group.is_subgroup(self.sub_ids):
             raise CentralizerError("not a subgroup")
-        self.A = A
+        self._entry = entry
+        self._sub_set = set(self.sub_ids)
+        self.one_entry = entry(0)
+        self.zero_entry = self.one_entry - self.one_entry
         seen = set()
         cosets = []
         for g in range(group.order):
@@ -171,6 +83,12 @@ class CentralizerContext:
             for g in coset:
                 self.coset_of[g] = idx
 
+    def coefficient(self, h):
+        """The coefficient of a subgroup element (parent group id)."""
+        if h not in self._sub_set:
+            raise CentralizerError("element outside the coefficient subgroup")
+        return self._entry(h)
+
     def coset_act(self, idx, g):
         """Index of (coset idx) . g under right multiplication."""
         return self.coset_of[self.group.mul(self.reps[idx], g)]
@@ -178,20 +96,16 @@ class CentralizerContext:
     # -- element constructors ------------------------------------------
 
     def zero(self):
-        z = self.A.zero()
-        return CentralizerElement(self, tuple(tuple(z for _ in range(self.k)) for _ in range(self.k)))
+        return self.diagonal([self.zero_entry] * self.k)
 
     def one(self):
-        z, o = self.A.zero(), self.A.one()
-        return CentralizerElement(
-            self, tuple(tuple(o if i == j else z for j in range(self.k)) for i in range(self.k))
-        )
+        return self.diagonal([self.one_entry] * self.k)
 
     def from_matrix(self, rows):
         return CentralizerElement(self, tuple(tuple(row) for row in rows))
 
     def diagonal(self, entries):
-        z = self.A.zero()
+        z = self.zero_entry
         return CentralizerElement(
             self, tuple(tuple(entries[i] if i == j else z for j in range(self.k)) for i in range(self.k))
         )
@@ -205,74 +119,60 @@ class CentralizerElement:
         self.mat = mat
 
     def __add__(self, other):
-        A = self.ctx.A
         return CentralizerElement(
-            self.ctx,
-            tuple(tuple(A.add(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(self.mat, other.mat)),
+            self.ctx, tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(self.mat, other.mat))
         )
 
     def __neg__(self):
-        A = self.ctx.A
-        return CentralizerElement(self.ctx, tuple(tuple(A.neg(x) for x in row) for row in self.mat))
+        return CentralizerElement(self.ctx, tuple(tuple(-x for x in row) for row in self.mat))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, CentralizerElement):
-            A = self.ctx.A
-            return CentralizerElement(self.ctx, tuple(tuple(A.scale(other, x) for x in row) for row in self.mat))
-        A = self.ctx.A
         k = self.ctx.k
-        is_zero = A.is_exact_zero
-        right = [[(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in other.mat]
+        zero = self.ctx.zero_entry
+        right = [[(j, y) for j, y in enumerate(row) if y] for row in other.mat]
         out = []
         for row in self.mat:
-            acc = [A.zero() for _ in range(k)]
+            acc = [zero] * k
             for l, x in enumerate(row):
-                if is_zero(x):
-                    continue
-                for j, y in right[l]:
-                    acc[j] = A.add(acc[j], A.mul(x, y))
+                if x:
+                    for j, y in right[l]:
+                        acc[j] = acc[j] + x * y
             out.append(tuple(acc))
         return CentralizerElement(self.ctx, tuple(out))
 
-    def __rmul__(self, scalar):
-        A = self.ctx.A
-        return CentralizerElement(self.ctx, tuple(tuple(A.scale(scalar, x) for x in row) for row in self.mat))
+    def scale(self, r):
+        """This matrix times a central scalar: a rational or a ``ParamPoly``."""
+        return CentralizerElement(self.ctx, tuple(tuple(r * x if x else x for x in row) for row in self.mat))
 
     def __eq__(self, other):
         if not isinstance(other, CentralizerElement):
             return NotImplemented
-        A = self.ctx.A
-        return all(A.eq(x, y) for r1, r2 in zip(self.mat, other.mat) for x, y in zip(r1, r2))
-
-    def is_zero(self):
-        A = self.ctx.A
-        return all(A.is_zero(x) for row in self.mat for x in row)
-
-
-def build_centralizer(group, sub_ids, A):
-    return CentralizerContext(group, sub_ids, A)
+        return all(x == y for r1, r2 in zip(self.mat, other.mat) for x, y in zip(r1, r2))
 
 
 def embed_group(ctx, g):
     """Matrix of the right-translation action of a group element."""
-    A = ctx.A
-    z = A.zero()
-    rows = [[z] * ctx.k for _ in range(ctx.k)]
+    rows = [[ctx.zero_entry] * ctx.k for _ in range(ctx.k)]
     for i in range(ctx.k):
         gi = ctx.reps[i]
         target = ctx.group.mul(gi, g)
         j = ctx.coset_of[target]
         h = ctx.group.mul(target, ctx.group.inv[ctx.reps[j]])
-        rows[i][j] = A.from_group(h)
-    return CentralizerElement(ctx, tuple(tuple(r) for r in rows))
+        rows[i][j] = ctx.coefficient(h)
+    return ctx.from_matrix(rows)
+
+
+def is_invariant(ctx, a):
+    """Whether the coefficient ``a`` commutes with every element of H."""
+    return all(ctx.coefficient(h) * a == a * ctx.coefficient(h) for h in ctx.sub_ids)
 
 
 def embed_invariant(ctx, a):
     """diag(a, ..., a) for an H-invariant coefficient a."""
-    if not ctx.A.is_invariant(a, [h for h in ctx.sub_ids if h != 0]):
+    if not is_invariant(ctx, a):
         raise CentralizerError("coefficient is not invariant under the subgroup")
     return ctx.diagonal([a] * ctx.k)
 
@@ -281,8 +181,7 @@ def idempotent(ctx, x):
     """The diagonal 0/1 selector of coset index x."""
     if not (0 <= x < ctx.k):
         raise CentralizerError("unknown coset index")
-    entries = [ctx.A.one() if i == x else ctx.A.zero() for i in range(ctx.k)]
-    return ctx.diagonal(entries)
+    return ctx.diagonal([ctx.one_entry if i == x else ctx.zero_entry for i in range(ctx.k)])
 
 
 def morita_witness(ctx):
@@ -304,13 +203,13 @@ def realization_rank(ctx):
     """Rank of the smash realization with A0 = Q, where the indicator of
     coset i maps to ``idempotent(ctx, i)`` and g to ``embed_group(ctx, g)``:
     the rank of the products of the two over all i and g, in the
-    coordinates of the group-algebra coefficients.  The realization is
+    coordinates of group-algebra coefficients (the value at ((), h, 0) of
+    a group-only ``SRAElement``, for h in H).  The realization is
     bijective when it equals both k |G| and k^2 |H|."""
-    A = ctx.A
     tracker = linalg.RankTracker()
     for i in range(ctx.k):
         e = idempotent(ctx, i)
         for g in range(ctx.group.order):
             m = e * embed_group(ctx, g)
-            tracker.add([c for row in m.mat for x in row for c in A.coords(x)])
+            tracker.add([x.terms.get(((), h, 0), 0) for row in m.mat for x in row for h in ctx.sub_ids])
     return tracker.rank

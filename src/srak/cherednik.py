@@ -615,10 +615,13 @@ def gram_rank(rows):
 
 
 def gram_kernel_vectors(ch, d, c_values):
-    """Kernel of the degree-d pairing at specialized parameters (the
-    constant terms of its packed entries), as module vectors with
-    constant coefficients (the singular-vector candidates)."""
+    """Kernel of the degree-d pairing at specialized parameters, as module
+    vectors with constant coefficients (the singular-vector candidates).
+    ``c_values`` must name every orbit: an entry left with a parameter
+    raises ``CherednikError``, as in ``gram_rank``."""
     monos, rows = packed_gram_tower(ch, d, c_values=c_values)[d]
+    if any(key for row in rows for entry in row.values() for key in entry):
+        raise CherednikError("kernel needs specialized parameters")
     num = [[row.get(j, {}).get(0, 0) for j in range(len(monos))] for row in rows]
     return [{(e, 0, 0): _lower(a) for a, e in zip(v, monos) if a} for v in linalg.nullspace(num, len(monos))]
 

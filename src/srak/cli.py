@@ -29,6 +29,7 @@ from . import groups as G
 from . import sra as S
 from .coeffs import R1, parse_rational, rat_str
 from .report import Report
+from .selftest import centralizer_pair_suite, run_selftest
 
 PARSE_ERRORS = (ValueError, KeyError, json.JSONDecodeError, OSError)
 COMPUTE_ERRORS = (
@@ -211,8 +212,6 @@ def cmd_sra_poisson(args):
 
 def cmd_centralizer_selftest(args):
     t0 = time.time()
-    from .selftest import centralizer_pair_suite
-
     big = G.group_from_spec(load_group_spec(args.g))
     small_spec = load_group_spec(args.h)
     small = G.group_from_spec(small_spec)
@@ -317,8 +316,6 @@ def cmd_simplicity_lattice(args):
 
 def cmd_selftest(args):
     t0 = time.time()
-    from .selftest import run_selftest
-
     report = run_selftest(quick=args.quick)
     return emit(report, args, t0)
 

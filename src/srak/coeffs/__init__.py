@@ -161,6 +161,8 @@ class ParamPoly:
     def __mul__(self, other):
         if is_rational(other):
             return ParamPoly(self.arity, K.mscale(self.terms, exact(other)))
+        if not isinstance(other, ParamPoly):
+            return NotImplemented  # an element scales itself (its __rmul__)
         _check_arity(self, other)
         return ParamPoly(self.arity, K.mmul(self.terms, other.terms))
 

@@ -28,11 +28,12 @@ of ``cherednik.packed_gram_tower``.
 
 Callers: ``ParamPoly`` arithmetic, the PBW engine and its elements
 (``sra``, which converts to ``ParamPoly`` only to parse, print and take
-user input), the Dunkl module vectors (flat maps {(x-exponents,
-component, packed (t, c) key): value}, whose products by t and c are key
-shifts) and pairing matrices (``cherednik``), group-algebra coefficients
-(``centralizer.GroupAlgebraCoefficients``) and the sparse rows of the
-elimination (``linalg.RankTracker``).  One loop stays outside
+user input; the group-algebra entries of ``centralizer``'s coset
+matrices are group-only elements of this kind), the Dunkl module vectors
+(flat maps {(x-exponents, component, packed (t, c) key): value}, whose
+products by t and c are key shifts) and pairing matrices
+(``cherednik``), and the sparse rows of the elimination
+(``linalg.RankTracker``).  One loop stays outside
 on purpose: ``SRAlgebra._gexpand``, the PBW hot loop, where building a
 map per word costs measurably more than the merge.
 """

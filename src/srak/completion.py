@@ -20,7 +20,11 @@ by the recentered root forms; those divisions are geometric series
 truncated at the working order.  ``verify_homomorphism`` mechanizes the
 defining-relation check at finite order, with the group part checked on
 the generators of W (the Cayley edges for the group law, conjugation by
-the generators alone), which the presentation makes sufficient;
+the generators alone), which the presentation makes sufficient.  The
+matrix entries are ``TElt``s, with the arithmetic ``centralizer`` asks
+of an entry: ``==`` is equality modulo the smaller of the two orders,
+and ``bool`` is false only on an exact zero, so that a zero known only
+modulo an order still passes that order on through a product;
 ``mod_param_baseline`` compares against the parameter-free
 commutative-level map; ``equivariance_check`` verifies the
 second-scaling homogeneity of the images.
@@ -30,7 +34,8 @@ import math
 from fractions import Fraction
 
 from . import groups as G
-from .centralizer import CentralizerElement, CoefficientAlgebra, build_centralizer
+from .centralizer import CentralizerContext, CentralizerElement, embed_group
+from .cherednik import convention_solve
 from .coeffs import ParamPoly, R0, R1, exact, rat
 from .sra import SRAlgebra, omega_kappa
 
@@ -212,6 +217,17 @@ class TElt:
     def __rmul__(self, scalar):
         return TElt(self.parent, self.value.scale(scalar), self.order)
 
+    def __eq__(self, other):
+        if not isinstance(other, TElt):
+            return NotImplemented
+        return self.eq_mod(other)
+
+    __hash__ = None
+
+    def __bool__(self):
+        """Not an exact zero: a zero known only modulo its order is true."""
+        return self.order is not None or bool(self.value)
+
     def eq_mod(self, other, order=None):
         o = min(self._effective(), other._effective())
         if order is not None:
@@ -236,50 +252,6 @@ def first_difference(a, b, order=None):
     coeffs = d.coefficients()
     key = min(coeffs, key=lambda k: (len(k[0]), k[0], k[1]))
     return (key[0], key[1], coeffs[key].to_str())
-
-
-class TruncatedCoefficients(CoefficientAlgebra):
-    """Coefficient-algebra adapter so the coset-matrix layer can run over
-    a truncated completed algebra."""
-
-    def __init__(self, talg, to_parent):
-        self.talg = talg
-        self.to_parent = list(to_parent)
-        self.from_parent = {p: i for i, p in enumerate(self.to_parent)}
-
-    def zero(self):
-        return self.talg.zero()
-
-    def one(self):
-        return self.talg.one()
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def scale(self, r, a):
-        return a.__rmul__(r)
-
-    def eq(self, a, b):
-        return a.eq_mod(b)
-
-    def is_zero(self, a):
-        return a.eq_mod(self.talg.zero())
-
-    def is_exact_zero(self, a):
-        # not ``is_zero``: a zero modulo its order still carries that order
-        return a.order is None and not a.value
-
-    def from_group(self, parent_gid):
-        local = self.from_parent.get(parent_gid)
-        if local is None:
-            raise CompletionError("element outside the coefficient subgroup")
-        return self.talg.group_elt(local)
 
 
 # -- the completion isomorphism ------------------------------------------------
@@ -309,13 +281,6 @@ class CompletionIso:
         self.mu = mu
 
 
-def _scale_matrix(m, poly):
-    is_zero = m.ctx.A.is_exact_zero
-    return CentralizerElement(
-        m.ctx, tuple(tuple(x if is_zero(x) else TElt(x.parent, x.value.scale(poly), x.order) for x in row) for row in m.mat)
-    )
-
-
 def subalgebra_presentation(ch, sub_ids, mu):
     """The stabilizer's own algebra, form-normalized with converted
     parameters: commutators built from the ambient form and the
@@ -342,8 +307,6 @@ def completion_iso(ch, b, order):
 def completion_iso_with_mu(ch, b, order, mu):
     """Same as ``completion_iso`` but with the presentation-conversion
     scalar pinned by the caller instead of solved from the form data."""
-    from .cherednik import convention_solve
-
     n = ch.h_dim
     b = [exact(v) for v in b]
     if len(b) != n:
@@ -362,15 +325,11 @@ def completion_iso_with_mu(ch, b, order, mu):
         mu = convention_solve(ch)
     alg_sub, sub, to_parent = subalgebra_presentation(ch, sub_ids, mu)
     talg = TruncatedAlgebra(alg_sub, order)
-    coeffs = TruncatedCoefficients(talg, to_parent)
-    ctx = build_centralizer(ch.group, sub_ids, coeffs)
+    local = {p: i for i, p in enumerate(to_parent)}
+    ctx = CentralizerContext(ch.group, sub_ids, lambda h: talg.group_elt(local[h]))
     grp = ch.group
 
-    w_images = {}
-    for g in range(grp.order):
-        from .centralizer import embed_group
-
-        w_images[g] = embed_group(ctx, g)
+    w_images = {g: embed_group(ctx, g) for g in range(grp.order)}
 
     x_images = []
     for j in range(n):
@@ -393,7 +352,7 @@ def completion_iso_with_mu(ch, b, order, mu):
             acc = talg.zero()
             for l, cc in enumerate(yvec):
                 if cc:
-                    acc = acc + talg.y_gen(l).__rmul__(cc)
+                    acc = acc + cc * talg.y_gen(l)
             rows[i][i] = rows[i][i] + acc
             for ref in ch.reflections:
                 if ref.gid in sub_set:
@@ -408,7 +367,7 @@ def completion_iso_with_mu(ch, b, order, mu):
                 sgi = grp.mul(ref.gid, gi)
                 kidx = ctx.coset_of[sgi]
                 hpart = grp.mul(sgi, grp.inv[ctx.reps[kidx]])
-                carried = coefficient * coeffs.from_group(hpart)
+                carried = coefficient * ctx.coefficient(hpart)
                 rows[i][kidx] = rows[i][kidx] + carried
                 rows[i][i] = rows[i][i] - coefficient
         y_images.append(ctx.from_matrix(rows))
@@ -423,21 +382,19 @@ def _pairing_rhs_matrix(iso, yi, xj):
     ch = iso.ch
     out = None
     if yi == xj:
-        m = _scale_matrix(iso.ctx.one(), ParamPoly.var(ch.nparams, 0))
-        out = m
+        out = iso.ctx.one().scale(ParamPoly.var(ch.nparams, 0))
     for ref in ch.reflections:
         coeff = -(ref.alpha_vee[xj] * ref.alpha[yi])
         if coeff:
-            m = _scale_matrix(iso.w_images[ref.gid], ParamPoly.var(ch.nparams, ref.orbit + 1, coeff=coeff))
+            m = iso.w_images[ref.gid].scale(ParamPoly.var(ch.nparams, ref.orbit + 1, coeff=coeff))
             out = m if out is None else out + m
     return out if out is not None else iso.ctx.zero()
 
 
 def _matrices_agree(a, b, order):
-    is_zero = a.ctx.A.is_exact_zero
     for r1, r2 in zip(a.mat, b.mat):
         for x, y in zip(r1, r2):
-            if not (is_zero(x) and is_zero(y)) and not x.eq_mod(y, order):
+            if (x or y) and not x.eq_mod(y, order):
                 return (False, first_difference(x, y, order))
     return (True, None)
 
@@ -500,7 +457,7 @@ def verify_homomorphism(iso):
             rhs = None
             for l in range(n):
                 if hst[l][j]:
-                    m = _scale_matrix(iso.x_images[l], ParamPoly.const(ch.nparams, hst[l][j]))
+                    m = iso.x_images[l].scale(hst[l][j])
                     rhs = m if rhs is None else rhs + m
             ok, det = _matrices_agree(lhs, rhs, order)
             record("w_x_conjugation", ok, det)
@@ -508,7 +465,7 @@ def verify_homomorphism(iso):
             rhs = None
             for l in range(n):
                 if hb[l][j]:
-                    m = _scale_matrix(iso.y_images[l], ParamPoly.const(ch.nparams, hb[l][j]))
+                    m = iso.y_images[l].scale(hb[l][j])
                     rhs = m if rhs is None else rhs + m
             ok, det = _matrices_agree(lhs, rhs, order)
             record("w_y_conjugation", ok, det)
@@ -563,7 +520,7 @@ def parameter_free_baseline(iso):
             acc = talg.zero()
             for l in range(n):
                 if hb[l][j]:
-                    acc = acc + talg.y_gen(l).__rmul__(hb[l][j])
+                    acc = acc + hb[l][j] * talg.y_gen(l)
             ye.append(acc)
         x_base.append(ctx.diagonal(xe))
         y_base.append(ctx.diagonal(ye))

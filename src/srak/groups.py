@@ -17,7 +17,7 @@ plane, both of which the algebra layer consumes.
 import math
 
 from . import linalg
-from .coeffs import R0, R1, exact, rat
+from .coeffs import R0, R1, exact, parse_rational, rat
 
 DEFAULT_MAX_ORDER = 20160
 
@@ -513,8 +513,6 @@ def group_from_spec(spec, max_order=DEFAULT_MAX_ORDER):
     unknown = set(spec) - allowed
     if unknown:
         raise GroupError("unknown group-spec fields: %s" % ", ".join(sorted(unknown)))
-    from .coeffs import parse_rational
-
     if "builtin" in spec:
         b = spec["builtin"]
         if b.get("type") != "symmetric":

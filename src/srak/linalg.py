@@ -11,6 +11,8 @@ rank of an int matrix by fraction-free elimination, which the pairing
 scans take once per parameter value.
 """
 
+from math import gcd
+
 from .coeffs import R0, R1, rat
 from .coeffs import _kernel as K
 
@@ -234,8 +236,6 @@ def clear_denominators(vec):
 
     Deterministic sign: the first nonzero entry becomes positive.
     """
-    from math import gcd
-
     nums = []
     dens = []
     for x in vec:

@@ -59,7 +59,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .coeffs import ArityError, ParamPoly, R0, R1, check_exponents, exact, rat
+from .coeffs import ArityError, ParamPoly, R0, R1, check_exponents, exact, parse_rational, rat
 from .coeffs import _kernel as K
 
 
@@ -639,8 +639,6 @@ def _tokenize(text):
 
 
 def _parse_element(alg, text):
-    from .coeffs import parse_rational
-
     names = {}
     for i, nm in enumerate(alg.names["v"]):
         names[nm] = ("v", i)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from srak import centralizer as C
 from srak import cherednik as CH
 from srak import groups as G
 from srak import linalg
@@ -89,17 +90,23 @@ def omega_alg3(g3, rd3):
     return S.SRAlgebra.omega_form(g3, rd3)
 
 
+def group_algebra_context(grp, sub):
+    """Coset matrices of (grp, sub) over the group algebra of grp: the
+    group-only elements of an algebra with no commutator table."""
+    return C.CentralizerContext(grp, sub, S.SRAlgebra(grp, {}, 1).group_elt)
+
+
 def dense_product(a, b):
     """Reference coset-matrix product: every one of the k^3 entry products,
     zero factors included, summed in the order of the middle index."""
-    A, k = a.ctx.A, a.ctx.k
+    k = a.ctx.k
     rows = []
     for i in range(k):
         row = []
         for j in range(k):
-            acc = A.zero()
+            acc = a.ctx.zero_entry
             for l in range(k):
-                acc = A.add(acc, A.mul(a.mat[i][l], b.mat[l][j]))
+                acc = acc + a.mat[i][l] * b.mat[l][j]
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
@@ -162,7 +169,7 @@ def exhaustive_relations(iso):
         out = iso.ctx.zero()
         for l in range(n):
             if block[l][j]:
-                out = out + CP._scale_matrix(images[l], ParamPoly.const(ch.nparams, block[l][j]))
+                out = out + images[l].scale(block[l][j])
         return out
 
     for i in range(n):

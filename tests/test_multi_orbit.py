@@ -128,6 +128,17 @@ def test_dihedral_trace_lattice():
     assert not gate["candidate_nonsimple"]
 
 
+def test_dihedral_kernel_refuses_unspecialized_orbit():
+    # the degree-1 pairing is (1 - 2 c1 - 2 c2) times the identity; with
+    # c2 left free it is -2 c2 times the identity at c1 = 1/2, which has
+    # no kernel, so its constant terms must not be read as the matrix
+    ch = CH.build_cherednik(DIHEDRAL8_SPEC)
+    with pytest.raises(CH.CherednikError):
+        CH.gram_kernel_vectors(ch, 1, [rat(1, 2)])
+    assert len(CH.gram_kernel_vectors(ch, 1, [rat(1, 2), R0])) == 2
+    assert CH.gram_kernel_vectors(ch, 1, [rat(1, 2), rat(1, 2)]) == []
+
+
 def test_dihedral_associativity_and_relations():
     ch = CH.build_cherednik(DIHEDRAL8_SPEC)
     assert ch.nparams == 3

@@ -1,5 +1,5 @@
 """Every def and class in src/srak is reached from a command, a report or
-perfbench.
+perfbench, and every import in src/srak is a used module-level one.
 
 A name-based pass over the syntax trees.  The roots are the module-level
 code of every srak module (the CLI entry point and its parser wiring among
@@ -10,6 +10,11 @@ reached when its class is reached and its name is used as an attribute
 name or a string constant (dunders with their class); a bare name of the
 same spelling is some other binding, so a method does not hide behind a
 local variable or a module-level function that shares its name.
+
+Imports sit at module level, where they cost one load per process and
+show the module's dependencies in one place; none breaks an import
+cycle.  A module-level import is used when a name it binds is used in
+the module as a bare name or is listed in ``__all__``.
 """
 
 import ast
@@ -97,3 +102,41 @@ def test_every_definition_is_reached():
     assert [q for q in left if q not in ALLOWED] == []
     # an allowlisted name that something now reaches leaves the list
     assert left == sorted(ALLOWED)
+
+
+def _modules():
+    for path in sorted((SRC / "srak").rglob("*.py")):
+        yield path.relative_to(SRC), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def function_local_imports():
+    """"path:line" of every import inside a def."""
+    out = set()
+    for rel, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.update("%s:%d" % (rel, n.lineno) for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom)))
+    return sorted(out)
+
+
+def unused_imports():
+    """"path:name" of every name a module-level import binds and the
+    module never uses."""
+    out = []
+    for rel, tree in _modules():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+                used |= {n.value for n in ast.walk(stmt.value) if isinstance(n, ast.Constant)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in used:
+                        out.append("%s:%s" % (rel, bound))
+    return out
+
+
+def test_imports_are_module_level_and_used():
+    assert function_local_imports() == []
+    assert unused_imports() == []
