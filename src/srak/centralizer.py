@@ -29,7 +29,11 @@ Matrix products are sparse: group images are monomial matrices and
 coordinate images mostly diagonal, so a product only multiplies pairs of
 entries that are both nonzero.  Only exact zeros are skipped; an entry
 that is zero merely modulo a truncation order is true, and takes part in
-the product, so that the order it carries reaches the result.
+the product, so that the order it carries reaches the result.  Most
+entries are the context's one shared zero, which an identity test
+skips before any ``bool`` call, and an accumulator slot holds it until
+the first product replaces it, so no product is added to zero.  The
+matrices stay dense k x k tuples, which a caller may index directly.
 
 Everything is exact and side-effect free.
 """
@@ -132,14 +136,18 @@ class CentralizerElement:
     def __mul__(self, other):
         k = self.ctx.k
         zero = self.ctx.zero_entry
-        right = [[(j, y) for j, y in enumerate(row) if y] for row in other.mat]
+        # ``is not zero`` first: most entries are the context's shared zero
+        right = [[(j, y) for j, y in enumerate(row) if y is not zero and y] for row in other.mat]
         out = []
         for row in self.mat:
+            # a slot holds the shared zero until the first product replaces
+            # it, so no product is ever added to zero
             acc = [zero] * k
             for l, x in enumerate(row):
-                if x:
+                if x is not zero and x:
                     for j, y in right[l]:
-                        acc[j] = acc[j] + x * y
+                        cur = acc[j]
+                        acc[j] = x * y if cur is zero else cur + x * y
             out.append(tuple(acc))
         return CentralizerElement(self.ctx, tuple(out))
 

@@ -7,10 +7,16 @@ truncation order; the y-part and the group part stay polynomial.  Every
 truncated element carries the order to which it is valid, and products
 debit that order by the y-degrees of the factors (commuting a y past the
 unknown x-tail can lower the x-degree), so agreement is never reported
-beyond what is provable.  Products are memoized up to central rational
-scalars: each ``TruncatedAlgebra`` interns values as a rational content
-times an integral primitive part and multiplies each distinct pair of
-primitive parts once per effective order, on the integer PBW core.
+beyond what is provable.
+
+Every element is kept in content form, lam * P: a rational lam and an
+integral P, so its arithmetic runs on integers from the product memo to
+the relation checks.  Products are memoized up to central rational
+scalars: each ``TruncatedAlgebra`` interns integral primitive parts,
+multiplies each distinct pair of them once per effective order, on the
+integer PBW core, and answers every later product with the memo's shared
+primitive and a new lam.  Sums and comparisons cross-multiply contents,
+and the rational values are expanded only at the edges (``TElt.value``).
 
 The isomorphism onto the coset-matrix algebra over the stabilizer's own
 completed algebra sends group elements to right-translation matrices,
@@ -24,10 +30,11 @@ the generators alone), which the presentation makes sufficient.  The
 matrix entries are ``TElt``s, with the arithmetic ``centralizer`` asks
 of an entry: ``==`` is equality modulo the smaller of the two orders,
 and ``bool`` is false only on an exact zero, so that a zero known only
-modulo an order still passes that order on through a product;
-``mod_param_baseline`` compares against the parameter-free
-commutative-level map; ``equivariance_check`` verifies the
-second-scaling homogeneity of the images.
+modulo an order still passes that order on through a product.  A
+relation check fails any comparison that is not known to the order it
+checks, naming the entry; ``mod_param_baseline`` compares against the
+parameter-free commutative-level map; ``equivariance_check`` verifies
+the second-scaling homogeneity of the images.
 """
 
 import math
@@ -37,7 +44,7 @@ from . import groups as G
 from .centralizer import CentralizerContext, CentralizerElement, embed_group
 from .cherednik import convention_solve
 from .coeffs import ParamPoly, R0, R1, exact, rat
-from .sra import SRAlgebra, omega_kappa
+from .sra import SRAElement, SRAlgebra, _specializer, omega_kappa
 
 
 class CompletionError(ValueError):
@@ -47,16 +54,17 @@ class CompletionError(ValueError):
 class TruncatedAlgebra:
     """A doubled PBW algebra completed x-adically at truncation order N.
 
-    It owns the product memo of its truncated elements.  Each value that
-    enters a product is interned as (lam, id) with value = lam * P_id:
-    P_id has integer values (in the PBW engine's u-variables) with gcd 1,
-    and its value at the least (word, group, packed monomial) key is
-    positive.
-    Primitives are found by hash bucket and confirmed by exact ``==``, so
-    two different primitives never share an id.  Rational scalars are
-    central, so (lam_a P_a)(lam_b P_b) = lam_a lam_b (P_a P_b), and the
-    product of each (id_a, id_b, xcap) is computed once, on integral
-    coefficients, and interned in turn.
+    It owns the intern table and the product memo of its truncated
+    elements.  A primitive is an element of the PBW engine with integer
+    values (in its u-variables) of gcd 1 whose value at the least (word,
+    group, packed monomial) key is positive, so every element is a
+    rational times exactly one primitive.  Primitives are found by hash
+    bucket and confirmed by exact ``==``, so two different primitives
+    never share an id.  Rational scalars are central, so
+    (lam_a P_a)(lam_b P_b) = lam_a lam_b (P_a P_b): the product of each
+    (id_a, id_b, effective order) is computed once, on integral
+    coefficients, and interned in turn, and every later product of
+    multiples of the same two primitives is a memo answer.
     """
 
     def __init__(self, algebra, order):
@@ -66,32 +74,33 @@ class TruncatedAlgebra:
         self.order = order
         self._ids = {}  # hash of a primitive -> ids of the primitives with that hash
         self._prims = []  # id -> (primitive element, x-degree, y-degree)
-        self._products = {}  # (id_a, id_b, xcap) -> (lam, id) of P_a P_b
+        self._products = {}  # (id_a, id_b, xcap) -> (lam, id) with P_a P_b = lam P_id
         self._zero = TElt(self, algebra.zero(), None)
 
-    def intern(self, value):
-        """(lam, id) with value = lam * P_id; lam is 0 for the zero value."""
-        terms = value.terms
-        lam = R0
-        if terms:
-            num, den = 0, 1
-            for c in terms.values():
-                num = math.gcd(num, c.numerator)
+    def _intern(self, elt):
+        """(lam, id) with elt = lam * P_id, for an element with int or
+        ``Fraction`` values; lam is (1, 1) for the zero element."""
+        terms = elt.terms
+        num, den, ints = 0, 1, True
+        for c in terms.values():
+            num = math.gcd(num, c.numerator)
+            if type(c) is not int:
+                ints = False
                 den = math.lcm(den, c.denominator)
-            if terms[min(terms)] < 0:
-                num = -num
-            lam = Fraction(num, den)
-            if lam != 1:
-                value = value.scale(1 / lam)
-        key = hash(frozenset(value.terms.items()))
+        if terms and terms[min(terms)] < 0:
+            num = -num
+        if num and (num != 1 or not ints):
+            elt = SRAElement(self.algebra, {k: c.numerator * (den // c.denominator) // num for k, c in terms.items()})
+        key = hash(frozenset(elt.terms.items()))
         bucket = self._ids.setdefault(key, [])
         for pid in bucket:
-            if self._prims[pid][0] == value:
-                return lam, pid
-        pid = len(self._prims)
-        bucket.append(pid)
-        self._prims.append((value, value.xdegree(), value.ydegree()))
-        return lam, pid
+            if self._prims[pid][0] == elt:
+                break
+        else:
+            pid = len(self._prims)
+            bucket.append(pid)
+            self._prims.append((elt, elt.xdegree(), elt.ydegree()))
+        return (num or 1, den), pid
 
     def zero(self):
         """The exact zero, one shared instance (elements are immutable)."""
@@ -142,50 +151,133 @@ class TruncatedAlgebra:
         return TElt(self, out, o)
 
 
-class TElt:
-    """Truncated element: normal form plus its guaranteed-valid x-order.
+def _ratio(num, den):
+    """The rational num/den (den > 0) as a reduced pair."""
+    g = math.gcd(num, den)
+    return (num, den) if g == 1 else (num // g, den // g)
 
-    ``order`` None means exact (a polynomial, no truncation debt).  The
-    element is never mutated, apart from ``prim``, its (lam, id) in the
-    parent's intern table, which is written once: by the product that made
-    the element, or on its first use as a factor.
+
+def _telt(parent, lam, elt, order, pid):
+    """A ``TElt`` from its content form, with no check and no copy."""
+    t = object.__new__(TElt)
+    t.parent = parent
+    t.lam = lam
+    t.elt = elt
+    t.order = order
+    t.pid = pid
+    return t
+
+
+def _content_form(parent, lam, terms, order):
+    """The ``TElt`` lam * terms, for a flat map with int or ``Fraction``
+    values: their common denominator moves into the content."""
+    den, ints = 1, True
+    for c in terms.values():
+        if type(c) is not int:
+            ints = False
+            den = math.lcm(den, c.denominator)
+    if not ints:
+        terms = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+        lam = _ratio(lam[0], lam[1] * den)
+    return _telt(parent, lam, SRAElement(parent.algebra, terms), order, None)
+
+
+class TElt:
+    """Truncated element in content form: lam * P, valid modulo x-order
+    ``order``.
+
+    lam is a nonzero rational, a reduced pair (numerator, denominator > 0)
+    of ints, and P (``elt``) an ``SRAElement`` with integer values;
+    ``pid`` is P's id in the parent's intern table once P is the interned
+    primitive.  A product's P is; any other element's becomes it on its
+    first use as a factor, when (lam, P) is rewritten in place, the value
+    unchanged.
+    ``order`` None means exact (a polynomial, no truncation debt); an
+    element with an order holds no term of x-degree at or above it.
+    Products are memo answers that share the memo's primitive, sums and
+    comparisons run on integers over one common denominator, and rational
+    scaling only multiplies lam.  ``value``, the element with rational
+    values, is expanded on each read, for the edges: printing a
+    difference, the specialization checks and tests.
     """
 
-    __slots__ = ("parent", "value", "order", "prim")
+    __slots__ = ("parent", "lam", "elt", "order", "pid")
 
-    def __init__(self, parent, value, order, prim=None):
-        self.parent = parent
-        self.value = value
-        self.order = order
-        self.prim = prim
+    def __new__(cls, parent, value, order):
+        """The element ``value`` of the parent's algebra, truncated at
+        ``order`` unless that is None."""
+        if order is not None:
+            value = value.truncate_x(order)
+        return _content_form(parent, (1, 1), value.terms, order)
+
+    @property
+    def value(self):
+        """lam * P with rational values, expanded on each read."""
+        num, den = self.lam
+        if den == 1:
+            return self.elt if num == 1 else self.elt.scale(num)
+        return self.elt.scale(Fraction(num, den))
 
     def _effective(self):
         return self.parent.order if self.order is None else min(self.order, self.parent.order)
 
+    def _below(self, order):
+        """P without its terms of x-degree >= order: P itself when it is
+        truncated at its own order or its x-degree is known to be lower."""
+        if self.order is not None and self.order <= order:
+            return self.elt
+        if self.pid is not None and self.parent._prims[self.pid][1] < order:
+            return self.elt
+        return self.elt.truncate_x(order)
+
     def __add__(self, other):
         o1, o2 = self.order, other.order
+        if o2 is None and not other.elt.terms:
+            return self
+        if o1 is None and not self.elt.terms:
+            return other
         o = o1 if o2 is None else o2 if o1 is None else min(o1, o2)
-        v = self.value + other.value
-        if o is not None:
-            v = v.truncate_x(o)
-        return TElt(self.parent, v, o)
+        a, b = (self.elt, other.elt) if o is None else (self._below(o), other._below(o))
+        (na, da), (nb, db) = self.lam, other.lam
+        if da == db and na == nb:
+            lam, elt = self.lam, a + b
+        elif da == db and na == -nb:
+            lam, elt = self.lam, a - b
+        else:
+            # lam = g / d, d the common denominator and g the gcd of the
+            # two numerators over it
+            d = da // math.gcd(da, db) * db
+            ca, cb = na * (d // da), nb * (d // db)
+            g = math.gcd(ca, cb)
+            lam, elt = _ratio(g, d), a.scale(ca // g) + b.scale(cb // g)
+        if o is None and not elt.terms:
+            return self.parent._zero
+        return _telt(self.parent, lam, elt, o, None)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TElt(self.parent, -self.value, self.order)
+        if self.order is None and not self.elt.terms:
+            return self
+        num, den = self.lam
+        return _telt(self.parent, (-num, den), self.elt, self.order, self.pid)
+
+    def _prime(self):
+        """Rewrite lam * P with P the interned primitive; return its id."""
+        (n, d), pid = self.parent._intern(self.elt)
+        num, den = self.lam
+        self.lam = _ratio(num * n, den * d)
+        self.elt = self.parent._prims[pid][0]
+        self.pid = pid
+        return pid
 
     def __mul__(self, other):
         if not isinstance(other, TElt):
-            return TElt(self.parent, self.value.scale(other), self.order)
+            return self._scaled(other)
         parent = self.parent
-        if self.prim is None:
-            self.prim = parent.intern(self.value)
-        if other.prim is None:
-            other.prim = parent.intern(other.value)
-        la, ia = self.prim
-        lb, ib = other.prim
+        ia = self._prime() if self.pid is None else self.pid
+        ib = other._prime() if other.pid is None else other.pid
         prims = parent._prims
         _, xa, ya = prims[ia]
         _, xb, yb = prims[ib]
@@ -208,14 +300,20 @@ class TElt:
         if hit is None:
             # multiply prunes every term of x-degree >= eff
             v = parent.algebra.multiply(prims[ia][0], prims[ib][0], xcap=eff)
-            hit = parent._products[key] = parent.intern(v)
-        lv, iv = hit
-        lam = la * lb * lv
-        v = prims[iv][0]
-        return TElt(parent, v if lam == 1 else v.scale(lam), new_order, (lam, iv))
+            hit = parent._products[key] = parent._intern(v)
+        (na, da), (nb, db), ((nv, dv), iv) = self.lam, other.lam, hit
+        return _telt(parent, _ratio(na * nb * nv, da * db * dv), prims[iv][0], new_order, iv)
 
-    def __rmul__(self, scalar):
-        return TElt(self.parent, self.value.scale(scalar), self.order)
+    def _scaled(self, r):
+        """This element times a rational or a ``ParamPoly``."""
+        if isinstance(r, ParamPoly):
+            return _content_form(self.parent, self.lam, self.elt.scale(r).terms, self.order)
+        if not r:
+            return _telt(self.parent, (1, 1), self.parent.algebra.zero(), self.order, None)
+        num, den = self.lam
+        return _telt(self.parent, _ratio(num * r.numerator, den * r.denominator), self.elt, self.order, self.pid)
+
+    __rmul__ = _scaled
 
     def __eq__(self, other):
         if not isinstance(other, TElt):
@@ -226,16 +324,34 @@ class TElt:
 
     def __bool__(self):
         """Not an exact zero: a zero known only modulo its order is true."""
-        return self.order is not None or bool(self.value)
+        return self.order is not None or bool(self.elt.terms)
 
     def eq_mod(self, other, order=None):
         o = min(self._effective(), other._effective())
         if order is not None:
             o = min(o, order)
-        return self.value.truncate_x(o) == other.value.truncate_x(o)
+        a, b = self._below(o).terms, other._below(o).terms
+        if len(a) != len(b):
+            return False
+        if self.lam == other.lam:
+            return a == b
+        # lam_a a == lam_b b, cross-multiplied over the denominators
+        (na, da), (nb, db) = self.lam, other.lam
+        ka, kb = na * db, nb * da
+        return all(b.get(key, 0) * kb == c * ka for key, c in a.items())
 
     def specialize(self, t=None, c=None):
-        return TElt(self.parent, self.value.specialize(t=t, c=c), self.order)
+        return self._specialized(_specializer(self.parent.algebra, t, c))
+
+    def _specialized(self, spec):
+        """P specialized by ``spec`` (``sra._specializer``), times lam."""
+        out = {}
+        for (m, g, k), x in self.elt.terms.items():
+            k2, f, _, _ = spec(k)
+            if f:
+                key = (m, g, k2)
+                out[key] = out.get(key, 0) + x * f
+        return _content_form(self.parent, self.lam, {k: x for k, x in out.items() if x}, self.order)
 
     def __repr__(self):
         return "<%s | order %s>" % (self.value.to_str(), self.order)
@@ -314,6 +430,7 @@ def completion_iso_with_mu(ch, b, order, mu):
     bcov = tuple(b) + (R0,) * n  # V*-coordinates: pairings with x's, then with y's
     sub_ids = G.stabilizer(ch.group, bcov)
     sub_set = set(sub_ids)
+    outside = []  # (reflection, its pairing with b) off the stabilizer
     for ref in ch.reflections:
         pairing = sum((bi * ai for bi, ai in zip(b, ref.alpha)), R0)
         if ref.gid in sub_set:
@@ -321,6 +438,8 @@ def completion_iso_with_mu(ch, b, order, mu):
                 raise CompletionError("stabilizer bookkeeping failed")  # pragma: no cover
         elif not pairing:
             raise CompletionError("base point not in the required stratum")
+        else:
+            outside.append((ref, pairing))
     if mu is None:
         mu = convention_solve(ch)
     alg_sub, sub, to_parent = subalgebra_presentation(ch, sub_ids, mu)
@@ -342,6 +461,9 @@ def completion_iso_with_mu(ch, b, order, mu):
             entries.append(talg.x_linear(coeffs_vec, const))
         x_images.append(ctx.diagonal(entries))
 
+    # the lowering image divides by (alpha, x + b), which is the same
+    # series in every coset
+    outside = [(ref, talg.geometric_inverse(pairing, ref.alpha)) for ref, pairing in outside]
     y_images = []
     for j in range(n):
         rows = [[talg.zero() for _ in range(ctx.k)] for _ in range(ctx.k)]
@@ -354,16 +476,12 @@ def completion_iso_with_mu(ch, b, order, mu):
                 if cc:
                     acc = acc + cc * talg.y_gen(l)
             rows[i][i] = rows[i][i] + acc
-            for ref in ch.reflections:
-                if ref.gid in sub_set:
-                    continue
+            for ref, series in outside:
                 alpha_pair = sum((ref.alpha[l] * yvec[l] for l in range(n)), R0)
                 if not alpha_pair:
                     continue
-                bconst = sum((bb * aa for bb, aa in zip(b, ref.alpha)), R0)
-                series = talg.geometric_inverse(bconst, ref.alpha)
                 weight = ParamPoly.var(ch.nparams, ref.orbit + 1, coeff=rat(2) / (R1 - ref.eigenvalue) * alpha_pair)
-                coefficient = TElt(talg, series.value.scale(weight), series.order)
+                coefficient = weight * series
                 sgi = grp.mul(ref.gid, gi)
                 kidx = ctx.coset_of[sgi]
                 hpart = grp.mul(sgi, grp.inv[ctx.reps[kidx]])
@@ -392,10 +510,23 @@ def _pairing_rhs_matrix(iso, yi, xj):
 
 
 def _matrices_agree(a, b, order):
-    for r1, r2 in zip(a.mat, b.mat):
-        for x, y in zip(r1, r2):
-            if (x or y) and not x.eq_mod(y, order):
-                return (False, first_difference(x, y, order))
+    """(True, None) when every entry pair agrees modulo ``order``, else
+    (False, the first difference).  A pair that is not known to that
+    order fails too, with a record naming the entry and the order its
+    comparison reaches; ``order`` None compares modulo whatever order the
+    entries carry."""
+    zero = a.ctx.zero_entry
+    for i, (r1, r2) in enumerate(zip(a.mat, b.mat)):
+        # ``is not zero`` first: most entries are the context's shared zero
+        for j in [j for j, (x, y) in enumerate(zip(r1, r2)) if x is not zero or y is not zero]:
+            x, y = r1[j], r2[j]
+            if x or y:
+                if order is not None:
+                    reached = min(x._effective(), y._effective())
+                    if reached < order:
+                        return (False, {"entry": [i, j], "order_reached": reached})
+                if not x.eq_mod(y, order):
+                    return (False, first_difference(x, y, order))
     return (True, None)
 
 
@@ -533,10 +664,10 @@ def mod_param_baseline(iso):
     base = parameter_free_baseline(iso)
     report = {"x_match": True, "y_match": True, "w_match": True, "x_parameter_free": True, "first_failure": None}
 
+    spec = _specializer(iso.talg.algebra, R0, [R0] * (iso.ch.nparams - 1))
+
     def zero_params(m):
-        return CentralizerElement(
-            m.ctx, tuple(tuple(x.specialize(t=R0, c=[R0] * (iso.ch.nparams - 1)) for x in row) for row in m.mat)
-        )
+        return CentralizerElement(m.ctx, tuple(tuple(x._specialized(spec) if x else x for x in row) for row in m.mat))
 
     for j in range(iso.ch.h_dim):
         ok, det = _matrices_agree(zero_params(iso.x_images[j]), base["x"][j], None)
@@ -561,17 +692,12 @@ def mod_param_baseline(iso):
 
 
 def _second_scaling_weight(telt, xc):
-    """Weight under y -> L^2 y, params -> L^2 params, x fixed; None when
-    the element is not homogeneous."""
-    alg = telt.value.algebra
-    w = None
-    for mono, _, k in telt.value.terms:
-        cand = sum(1 for v in mono if v >= xc) + sum(alg._unpack(k)[0])
-        if w is None:
-            w = cand
-        elif w != cand:
-            return None
-    return w
+    """Weight of a nonzero entry under y -> L^2 y, params -> L^2 params,
+    x fixed; None when it is not homogeneous.  Read off P's keys, which
+    are the value's."""
+    alg = telt.parent.algebra
+    weights = {sum(1 for v in mono if v >= xc) + sum(alg._unpack(k)[0]) for mono, _, k in telt.elt.terms}
+    return weights.pop() if len(weights) == 1 else None
 
 
 def equivariance_check(iso):
@@ -579,24 +705,15 @@ def equivariance_check(iso):
     weight 0, y images weight 1, as identities of truncated coefficients
     with the scaling treated as a formal variable."""
     xc = iso.talg.algebra.x_count
-    report = {"x_weight0": True, "w_weight0": True, "y_weight1": True}
-    for m in iso.x_images:
-        for row in m.mat:
-            for x in row:
-                w = _second_scaling_weight(x, xc)
-                if w not in (None, 0) or (w is None and x.value):
-                    report["x_weight0"] = False
-    for g, m in iso.w_images.items():
-        for row in m.mat:
-            for x in row:
-                w = _second_scaling_weight(x, xc)
-                if w not in (None, 0) or (w is None and x.value):
-                    report["w_weight0"] = False
-    for m in iso.y_images:
-        for row in m.mat:
-            for x in row:
-                w = _second_scaling_weight(x, xc)
-                if x.value and w != 1:
-                    report["y_weight1"] = False
+
+    def homogeneous(images, weight):
+        entries = (x for m in images for row in m.mat for x in row if x.elt.terms)
+        return all(_second_scaling_weight(x, xc) == weight for x in entries)
+
+    report = {
+        "x_weight0": homogeneous(iso.x_images, 0),
+        "w_weight0": homogeneous(iso.w_images.values(), 0),
+        "y_weight1": homogeneous(iso.y_images, 1),
+    }
     report["pass"] = report["x_weight0"] and report["w_weight0"] and report["y_weight1"]
     return report

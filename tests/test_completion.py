@@ -1,9 +1,11 @@
 import copy
+import json
 import math
 
 import pytest
 
 from srak import centralizer as C
+from srak import cli
 from srak import cherednik as CH
 from srak import completion as CP
 from srak import groups as G
@@ -218,6 +220,30 @@ def test_mutation_breaks_completion(ch3):
     assert not rep["relations"]["y_x_commutator"]["pass"]
 
 
+def _short_series(monkeypatch):
+    """Cut every geometric series to two terms, honestly truncated at
+    order 2, whatever the working order."""
+    series = CP.TruncatedAlgebra.geometric_inverse
+    monkeypatch.setattr(
+        CP.TruncatedAlgebra, "geometric_inverse", lambda self, const, coeffs, order=None: series(self, const, coeffs, 2)
+    )
+
+
+@pytest.mark.parametrize("group, b, order", [("symmetric:3:reflection", "2,1", 4), ("symmetric:4:reflection", "1,-1,2", 3)])
+def test_short_series_fails_be_iso_verify(group, b, order, monkeypatch, capsys):
+    # every relation holds modulo the order the short series reaches, so
+    # only the order check can refuse this mutant
+    argv = ["be-iso", "verify", "--group", group, "--b=" + b, "--order", str(order)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    _short_series(monkeypatch)
+    assert cli.main(argv) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    failures = [c["data"]["first_failure"] for c in checks.values() if c["verdict"] == "fail"]
+    assert failures and all(f["order_reached"] < order - 1 for f in failures), failures
+    assert checks["order_checked"]["data"]["order"] == order - 1
+
+
 def _order_key(telt):
     return float("inf") if telt.order is None else telt.order
 
@@ -422,7 +448,8 @@ def test_memo_reports_match_reference_product(ch3, ch4, monkeypatch):
 def _same_product(a, b):
     got, ref = a * b, reference_telt_product(a, b)
     assert got.value == ref.value and got.order == ref.order
-    assert got.prim[0] * got.parent._prims[got.prim[1]][0] == got.value
+    # a memo answer shares the memo's primitive: rescaling copies nothing
+    assert got.elt is got.parent._prims[got.pid][0]
     return got
 
 
@@ -457,24 +484,34 @@ def test_memo_products_of_scalar_multiples(ch3):
                 _same_product(b, CP.TElt(talg, a.value, o))
 
 
+def _interned(talg, value, order):
+    """A fresh element of that value, after its first use as a factor,
+    which interns it."""
+    e = CP.TElt(talg, value, order)
+    assert e.pid is None
+    e * talg.one()
+    return e
+
+
 def test_memo_interns_integral_primitives(ch3):
     iso = CP.completion_iso(ch3, [rat(2), rat(1)], 4)
     talg = iso.talg
     entries = [e for m in iso.y_images + iso.x_images for row in m.mat for e in row]
     for e in entries:
-        lam, pid = talg.intern(e.value)
-        prim = talg._prims[pid][0]
-        assert prim.scale(lam) == e.value
+        f = _interned(talg, e.value, e.order)
+        prim = talg._prims[f.pid][0]
+        assert f.elt is prim and prim.scale(rat(*f.lam)) == e.value
         # integral in the PBW engine's u-variables, read off its flat map
         coeffs = list(prim.terms.values())
-        assert all(c.denominator == 1 for c in coeffs)
+        assert all(type(c) is int for c in coeffs)
         if coeffs:
-            assert math.gcd(*(c.numerator for c in coeffs)) == 1
+            assert math.gcd(*coeffs) == 1
             assert prim.terms[min(prim.terms)] > 0
             # a negative multiple interns to the same primitive
-            assert talg.intern(e.value.scale(rat(-5, 3))) == (lam * rat(-5, 3), pid)
+            g = _interned(talg, e.value.scale(rat(-5, 3)), e.order)
+            assert g.pid == f.pid and rat(*g.lam) == rat(*f.lam) * rat(-5, 3)
         else:
-            assert lam == 0
+            assert not f.value
 
 
 def test_verify_multiply_count_s4(ch4, monkeypatch):
@@ -491,3 +528,90 @@ def test_verify_multiply_count_s4(ch4, monkeypatch):
     monkeypatch.setattr(S.SRAlgebra, "multiply", counted)
     assert CP.verify_homomorphism(iso)["all_pass"]
     assert len(calls) == 512
+
+
+def _arithmetic_samples(talg, iso):
+    """S3 image entries and products of them, rational multiples, exact
+    and truncated zeros, and copies at lower orders."""
+
+    def nonzero(m, count):
+        return [e for row in m.mat for e in row if e.elt.terms][:count]
+
+    samples = nonzero(iso.w_images[1], 2) + nonzero(iso.x_images[0], 2) + nonzero(iso.y_images[0], 3)
+    samples += nonzero(iso.y_images[0] * iso.y_images[1], 3)
+    samples += [CP.TElt(talg, e.value, o) for e in samples[3:7] for o in (2, 3)]
+    samples += [samples[4] * rat(6), samples[6] * rat(-3, 2)]  # numerators with a common factor
+    zero = talg.algebra.zero()
+    return samples + [talg.zero(), CP.TElt(talg, zero, 3), CP.TElt(talg, zero, 2)]
+
+
+def _sum_order(a, b):
+    return a.order if b.order is None else b.order if a.order is None else min(a.order, b.order)
+
+
+def _truncated_value(value, order):
+    return value if order is None else value.truncate_x(order)
+
+
+def test_entry_arithmetic_matches_dense_reference(ch3):
+    # +, -, negation, rational scaling, eq_mod and bool on the content form
+    # against the same operations on the expanded rational values
+    iso = CP.completion_iso(ch3, [rat(2), rat(1)], 4)
+    talg = iso.talg
+    samples = _arithmetic_samples(talg, iso)
+    assert {e.order for e in samples} == {None, 2, 3, 4}
+    assert any(e.lam[1] != 1 for e in samples)
+    for a in samples:
+        assert bool(a) == (a.order is not None or bool(a.value))
+        assert (-a).value == -a.value and (-a).order == a.order
+        for r in (R0, R1, rat(-1), rat(3, 2), rat(-2, 7), rat(6)):
+            for scaled in (a * r, r * a):
+                assert scaled.value == a.value.scale(r) and scaled.order == a.order
+        for b in samples:
+            o = _sum_order(a, b)
+            total, diff = a + b, a - b
+            assert total.order == diff.order == o
+            assert total.value == _truncated_value(a.value + b.value, o)
+            assert diff.value == _truncated_value(a.value - b.value, o)
+            for order in (None, 1, 2, 3):
+                cut = min(a._effective(), b._effective())
+                if order is not None:
+                    cut = min(cut, order)
+                assert a.eq_mod(b, order) == (a.value.truncate_x(cut) == b.value.truncate_x(cut))
+            assert (a == b) == a.eq_mod(b)
+    # zero + y is y itself, and an exact cancellation is the shared zero
+    for a in samples:
+        assert talg.zero() + a is a and a + talg.zero() is a
+        if a.order is None:
+            assert a - a is talg.zero()
+
+
+def test_memo_hits_copy_no_primitive(ch4, monkeypatch):
+    # a memo answer rescales only its content: no product of two entries
+    # calls SRAElement.scale (one call per memo hit with a content other
+    # than 1 before entries were kept in content form)
+    iso = CP.completion_iso(ch4, [R1, rat(-1), rat(2)], 3)
+    mul, scale = CP.TElt.__mul__, S.SRAElement.scale
+    inside, scaled, rescaled = [0], [], []
+
+    def product(a, b):
+        if not isinstance(b, CP.TElt):
+            return mul(a, b)
+        inside[0] += 1
+        try:
+            out = mul(a, b)
+        finally:
+            inside[0] -= 1
+        if out.lam != (1, 1):
+            rescaled.append(None)
+        return out
+
+    def counted_scale(self, c):
+        if inside[0]:
+            scaled.append(c)
+        return scale(self, c)
+
+    monkeypatch.setattr(CP.TElt, "__mul__", product)
+    monkeypatch.setattr(S.SRAElement, "scale", counted_scale)
+    assert CP.verify_homomorphism(iso)["all_pass"]
+    assert len(rescaled) > 1000 and not scaled
