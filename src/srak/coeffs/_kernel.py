@@ -20,22 +20,26 @@ guards the fields against carries): one call adds a whole flat map
 {(word, gid, packed key): value}, the shape of an ``sra`` element and of
 its cached normal forms, times a packed polynomial, the group part
 multiplied on the right by one element through the Cayley table.  It
-fills the rewriting caches and ``multiply``'s product, and forms
-conjugation sums, center brackets, scalar multiples and right factors
-that are group elements.  ``pmul`` forms the coefficient products of
-``multiply``'s two factors, and ``emap_addmul`` the Z[c] pairing entries
-of ``cherednik.packed_gram_tower``.
+fills ``multiply``'s product and the letter insertions of the rewriting
+(``SRAlgebra._right_letter``, where a letter does not sort after its
+word), and forms conjugation sums, center brackets and scalar multiples.
+``pmul`` forms the coefficient products of ``multiply``'s two factors
+when either has more than one monomial, and ``emap_addmul`` the Z[c]
+pairing entries of ``cherednik.packed_gram_tower``.
 
 Callers: ``ParamPoly`` arithmetic, the PBW engine and its elements
-(``sra``, which converts to ``ParamPoly`` only to parse, print and take
-user input; the group-algebra entries of ``centralizer``'s coset
+(``sra``, which converts to ``ParamPoly`` only to print, to take user
+input and to parse a parameter; the group-algebra entries of ``centralizer``'s coset
 matrices are group-only elements of this kind), the Dunkl module vectors
 (flat maps {(x-exponents, component, packed (t, c) key): value}, whose
 products by t and c are key shifts) and pairing matrices
 (``cherednik``), and the sparse rows of the elimination
-(``linalg.RankTracker``).  One loop stays outside
-on purpose: ``SRAlgebra._gexpand``, the PBW hot loop, where building a
-map per word costs measurably more than the merge.
+(``linalg.RankTracker``).  The PBW hot loops stay outside on purpose:
+``SRAlgebra._gexpand``, where building a map per word costs measurably
+more than the merge, and the steps of the rewriting that add one key per
+term (``_insert``'s kappa terms, ``_right_letter``'s letters that sort
+after their word, and ``_word_normal``'s free letters sorted into the
+normal form of a core), where a kernel call would add a one-term map.
 """
 
 

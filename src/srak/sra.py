@@ -9,9 +9,32 @@ where kappa takes values in group-algebra elements with polynomial
 coefficients.  Elements are kept in normal form.
 
 Rewriting moves group elements right past vectors (pure relabeling) and
-sorts vector words, inserting kappa terms; it terminates because each
-step either lowers the word degree by two or removes an inversion.  The
-omega-form presentation (kappa built from the symplectic form and the
+sorts a word by inserting letters: the letters after its longest sorted
+prefix are folded in one at a time, a normal form times a letter v is
+(w, h) v = w (h . v) h, and a sorted word m' a times a letter v < a is
+
+    NF(m' a v)  =  NF(m' v) a  +  m' kappa(a, v).
+
+The top term of NF(m' v) is the sorted m' v, and a sorts after it; every
+other term is two letters shorter, and m' g is a normal form.  So each
+recursive call is on a shorter word, or on one as long with fewer letters
+after its sorted prefix, and the depth grows with the length of a word,
+not with its inversions.  The PBW property (Etingof-Ginzburg, Invent.
+Math. 2002, Thm 1.3) makes the rewriting confluent for any order of the
+letters (Bergman's diamond lemma, Adv. Math. 1978), so the order of the
+insertions does not matter.
+
+A letter is lower-free when it commutes with every smaller letter, and
+upper-free when every letter of its G-span (the support of its columns in
+the group matrices) commutes with every larger one; both sets are read
+off the table when the algebra is built.  Sorting them in meets no kappa
+term, so NF(P core S), with P the longest lower-free prefix and S the
+longest upper-free suffix, is NF(core) with P and, through each term's
+group part, S sorted into each term: in a doubled algebra only y...x cores
+are rewritten.  ``_word_cache`` holds the normal form of each word met
+and of each prefix of a folded core.
+
+The omega-form presentation (kappa built from the symplectic form and the
 per-reflection forms, with parameter t on the identity and c_i on orbit
 i) is the default; the Cherednik layer installs its own table.
 
@@ -26,21 +49,22 @@ ints (packed exponent vectors, Monagan-Pearce 2007).  An element, the
 rewriting caches and every intermediate result are one kind of flat map
 with one key per term, (sorted word, gid, packed u-monomial) -> int or
 Fraction, filled by ``coeffs._kernel.pbw_addmul``, one call per normal
-form and coefficient polynomial.  The coefficient of u^e is that of c^e
-times prod d_p^e_p.
+form and coefficient polynomial, or term by term where one letter is
+inserted.  The coefficient of u^e is that of c^e times prod d_p^e_p.
 
 Conversion to and from the public c-variables (``ParamPoly``, exponent
 tuples, ``Fraction`` values) happens only at the edges: ``element``,
 ``scalar``, ``param``, ``SRAElement.scale`` by a ``ParamPoly`` and the
-literal parser pack coefficients in (``SRAlgebra._to_u``), and
-``SRAElement.coefficients`` (which ``to_str`` prints) unpacks them and
+literal parser's parameters pack coefficients in (``SRAlgebra._to_u``),
+and ``SRAElement.coefficients`` (which ``to_str`` prints) unpacks them and
 divides back exactly.  ``specialize`` substitutes on the packed keys.  A
 carry between fields would be silent, so ``multiply`` first bounds the
 product's exponents: E(a) + E(b) + k*(L(a) + L(b))//2, with E a factor's
 largest parameter exponent, L its longest word and k the largest exponent
 in the kappa table (each kappa step removes two letters), and raises
-AlgebraError when that reaches 2^PACK_BITS; packing an exponent that
-does not fit its field raises too.  Data that stays non-integral after
+AlgebraError when that reaches 2^PACK_BITS (``_fits``, which the parser
+also asks before it inserts letters); packing an exponent that does not
+fit its field raises too.  Data that stays non-integral after
 scaling (a constant kappa term with a denominator, a non-integral group
 matrix) flows through the same code as ``Fraction`` values mixed with
 ints.
@@ -53,13 +77,14 @@ between threads.
 """
 
 import math
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .coeffs import ArityError, ParamPoly, R0, R1, check_exponents, exact, parse_rational, rat
+from .coeffs import ArityError, ParamPoly, R0, R1, check_exponents, exact, rat
 from .coeffs import _kernel as K
 
 
@@ -149,8 +174,10 @@ class SRAlgebra:
         self._packs = {}  # exponent tuple -> (packed key, weight, largest exponent)
         self._unpacks = {}  # packed key -> (exponent tuple, weight)
         self._specs = {}  # substituted values -> memo of ``_specializer``
-        # the rewriting table in the u-variables, keyed by packed monomials
-        self._kappa = {key: tuple((gid, self._to_u(poly)) for gid, poly in terms) for key, terms in kappa.items()}
+        # the rewriting table in the u-variables, keyed by packed monomials,
+        # with no zero coefficient (``_insert`` adds its terms one by one)
+        self._kappa = {key: tuple((gid, self._to_u({e: c for e, c in poly.items() if c})) for gid, poly in terms)
+                       for key, terms in kappa.items()}
         self._kappa_exp = self._top(k for terms in self._kappa.values() for _, poly in terms for k in poly)
         self.x_count = x_count
         self.rdata = rdata
@@ -160,9 +187,17 @@ class SRAlgebra:
         self._gexp_cache = {}
         self._gmono_cache = {}
         self._columns = {}
+        self._literal_names = None  # built by the first ``parse``
         for (j, i) in kappa:
             if not (0 <= i < j < self.nv):
                 raise AlgebraError("kappa table must be indexed by pairs j > i")
+        # the letters that commute with every smaller one (lower-free), and
+        # those whose G-span commutes with every larger one (upper-free)
+        rewrites = {key for key, terms in kappa.items() if terms}
+        n = self.nv
+        self._lower_free = tuple(not any((a, v) in rewrites for v in range(a)) for a in range(n))
+        span = [{l for mat in group.mats for l in range(n) if mat[l][v]} for v in range(n)]
+        self._upper_free = tuple(not any((b, l) in rewrites for l in span[v] for b in range(l + 1, n)) for v in range(n))
 
     def _default_names(self):
         n = self.nv
@@ -328,36 +363,78 @@ class SRAlgebra:
         """Normal form of a plain word of basis indices.
 
         Returns a frozen flat map {(sorted word, gid, packed key): value}.
-        Callers must not mutate the result.
+        Callers must not mutate the result.  The free letters and the fold
+        of the core are described in the module docstring.
         """
         hit = self._word_cache.get(word)
         if hit is not None:
             return hit
-        pos = -1
-        for idx in range(len(word) - 1):
-            if word[idx] > word[idx + 1]:
-                pos = idx
-                break
-        if pos < 0:
-            out = {(word, 0, 0): 1}
-            self._word_cache[word] = out
-            return out
-        j, i = word[pos], word[pos + 1]
-        swapped = word[:pos] + (i, j) + word[pos + 2 :]
-        # a copy, not an alias: the pbw_addmul calls below write into it
-        out = dict(self._word_normal(swapped))
-        kap = self._kappa.get((j, i), ())
-        if kap:
-            prefix, suffix = word[:pos], word[pos + 2 :]
-            table = self.group.table
-            for gid, kpoly in kap:
-                if suffix:
-                    exp = self._gexpand(gid, suffix)
+        cache, lower, upper = self._word_cache, self._lower_free, self._upper_free
+        i, j = 0, len(word)
+        while i < j and lower[word[i]]:
+            i += 1
+        while j > i and upper[word[j - 1]]:
+            j -= 1
+        core = word[i:j]
+        s = 1
+        while s < len(core) and core[s - 1] <= core[s]:
+            s += 1
+        if s >= len(core):
+            out = {(tuple(sorted(word)), 0, 0): 1}
+        elif i or j < len(word):
+            head, tail = word[:i], word[j:]
+            out = {}
+            for (m, h, k), c in self._word_normal(core).items():
+                for w, q in self._gexpand(h, tail) if h and tail else ((tail, 1),):
+                    key = (tuple(sorted(head + m + w)), h, k)
+                    cur = out.get(key, 0) + c * q
+                    if cur:
+                        out[key] = cur
+                    else:
+                        del out[key]
+        else:
+            out = self._insert(core[:s], core[s])
+            for t in range(s + 1, len(core)):
+                cache[core[:t]] = out
+                out = self._right_letter(out, core[t])
+        cache[word] = out
+        return out
+
+    def _insert(self, word, v):
+        """Normal form of the sorted word m = m' a times a letter v < a:
+        NF(m' v) a + m' kappa(a, v)."""
+        head, a = word[:-1], word[-1]
+        if not head or head[-1] <= v:
+            out = {(head + (v, a), 0, 0): 1}
+        else:
+            out = self._right_letter(self._word_normal(head + (v,)), a)
+        for gid, poly in self._kappa.get((a, v), ()):
+            for k, c in poly.items():
+                key = (head, gid, k)
+                cur = out.get(key, 0) + c
+                if cur:
+                    out[key] = cur
                 else:
-                    exp = (((), 1),)
-                for w2, q in exp:
-                    K.pbw_addmul(out, self._word_normal(prefix + w2), kpoly, q, table, gid)
-        self._word_cache[word] = out
+                    del out[key]
+        return out
+
+    def _right_letter(self, nf, v):
+        """The flat normal form ``nf`` times the letter v on the right, as a
+        new map: (w, h) v = w (h . v) h, one insertion per letter of h . v
+        that does not already sort after w."""
+        table = self.group.table
+        out = {}
+        for (w, h, k), c in nf.items():
+            for l, q in self._column(h, v):
+                if not w or w[-1] <= l:
+                    key = (w + (l,), h, k)
+                    cur = out.get(key, 0) + c * q
+                    if cur:
+                        out[key] = cur
+                    else:
+                        del out[key]
+                else:
+                    K.pbw_addmul(out, self._word_normal(w + (l,)), {k: c}, q, table, h)
         return out
 
     def _gmono_normal(self, gid, mono):
@@ -384,6 +461,14 @@ class SRAlgebra:
             poly[k] = c if type(c) is int else _lower(c)
         return out
 
+    def _fits(self, top, letters, what):
+        """Raise AlgebraError unless terms with parameter exponents up to
+        ``top`` on words of up to ``letters`` letters keep every packed field
+        in range: each kappa step removes two letters and raises an exponent
+        by at most ``_kappa_exp``."""
+        if top + self._kappa_exp * (letters // 2) >= _FIELD:
+            raise AlgebraError("a parameter exponent of this %s could reach 2^%d" % (what, PACK_BITS))
+
     def multiply(self, a, b, xcap=None):
         """Normal-form product.  ``xcap`` prunes terms whose x-degree is
         provably >= xcap (doubled algebras only).  Raises AlgebraError when
@@ -397,26 +482,26 @@ class SRAlgebra:
         left = self._by_word(a.terms)
         right = []  # (word, gid, packed polynomial, x-degree minus y-degree)
         for (m2, g2), p2 in self._by_word(b.terms).items():
-            x2 = sum(1 for v in m2 if v < xc) if xcap is not None else 0
+            # normal-form words are sorted: the x letters lead
+            x2 = bisect_left(m2, xc) if xcap is not None else 0
             right.append((m2, g2, p2, 2 * x2 - len(m2)))
         longest = max((len(m) for m, _ in left), default=0) + max((len(r[0]) for r in right), default=0)
-        # each kappa step removes two letters and raises an exponent by at
-        # most _kappa_exp, so no packed field of the product can carry
-        top = self._top(k for _, _, k in a.terms) + self._top(k for _, _, k in b.terms)
-        if top + self._kappa_exp * (longest // 2) >= _FIELD:
-            raise AlgebraError("a parameter exponent of this product could reach 2^%d" % PACK_BITS)
+        self._fits(self._top(k for _, _, k in a.terms) + self._top(k for _, _, k in b.terms), longest, "product")
         out = {}
         for (m1, g1), p1 in left.items():
             if xcap is not None:
-                x1 = sum(1 for v in m1 if v < xc)
-                xy1 = 2 * x1 - len(m1)
+                xy1 = 2 * bisect_left(m1, xc) - len(m1)
             for m2, g2, p2, xy2 in right:
                 if xcap is not None and xy1 + xy2 >= xcap:
                     continue
                 g12 = table[g1][g2]
-                p12 = K.pmul(p1, p2)
-                if not p12:
-                    continue
+                if len(p1) == 1 == len(p2):
+                    ((k1, c1),), ((k2, c2),) = p1.items(), p2.items()
+                    p12 = {k1 + k2: c1 * c2}
+                else:
+                    p12 = K.pmul(p1, p2)
+                    if not p12:
+                        continue
                 for (mp, gp, kq), q in self._gmono_normal(g1, m2).items():
                     # the cache probed here: most pieces hit, and a method
                     # call per hit was measurably slower
@@ -425,20 +510,16 @@ class SRAlgebra:
                     if src is None:
                         src = word_normal(w)
                     if xcap is not None:
-                        # normal-form words are sorted: the x letters lead
                         src = {key: c for key, c in src.items() if bisect_left(key[0], xc) < xcap}
                     poly = {k + kq: c for k, c in p12.items()} if kq else p12
                     K.pbw_addmul(out, src, poly, q, table, table[gp][g12])
         return SRAElement(self, out)
 
-    def _times(self, poly, elt, g=0):
-        """``elt`` times the scalar {packed key: value} ``poly`` and, on the
-        right, the group element ``g`` (a relabeling through the Cayley
-        table); raises AlgebraError when an exponent would not fit its
-        field."""
-        if self._top(poly) + self._top(k for _, _, k in elt.terms) >= _FIELD:
-            raise AlgebraError("a parameter exponent of this product could reach 2^%d" % PACK_BITS)
-        return SRAElement(self, K.pbw_addmul({}, elt.terms, poly, 1, self.group.table, g))
+    def _times(self, poly, elt):
+        """``elt`` times the scalar {packed key: value} ``poly``; raises
+        AlgebraError when an exponent would not fit its field."""
+        self._fits(self._top(poly) + self._top(k for _, _, k in elt.terms), 0, "product")
+        return SRAElement(self, K.pbw_addmul({}, elt.terms, poly, 1, self.group.table, 0))
 
     def normalize_word(self, factors):
         """Normal form of a product of factors.
@@ -553,9 +634,10 @@ class SRAElement:
         return max((sum(1 for v in m if v >= xc) for (m, _, _) in self.terms), default=0)
 
     def truncate_x(self, order):
-        """Drop terms of x-degree >= order (doubled algebras)."""
+        """Drop terms of x-degree >= order (doubled algebras; normal-form
+        words are sorted, so the x letters lead)."""
         xc = self.algebra.x_count
-        out = {k: v for k, v in self.terms.items() if sum(1 for vv in k[0] if vv < xc) < order}
+        out = {k: v for k, v in self.terms.items() if bisect_left(k[0], xc) < order}
         return SRAElement(self.algebra, out)
 
     def sorted_terms(self):
@@ -606,50 +688,47 @@ class SRAElement:
 
 # -- literal parsing ------------------------------------------------------
 
-# largest exponent an element literal may write: the power is built by
-# repeated multiplication, so an unbounded one is an unbounded computation
+# largest exponent an element literal may write: a power is built one
+# factor at a time, so an unbounded one is an unbounded computation
 MAX_LITERAL_EXPONENT = 100
 
-
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "/"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise LiteralError("unexpected character %r in element literal" % ch)
-    return tokens
+# one token after optional blanks: a number p or p/q, a name, an operator,
+# or any other character (an error)
+_TOKEN = r"\s*(?:(\d+(?:/\d+)?)|([^\W\d]\w*)|([-+*^()])|(\S))"
 
 
-def _parse_element(alg, text):
-    names = {}
-    for i, nm in enumerate(alg.names["v"]):
-        names[nm] = ("v", i)
-    for i, nm in enumerate(alg.names["p"]):
-        names[nm] = ("p", i)
+def _literal_names(alg):
+    """Element-literal names: basis vectors, parameters (``c`` too when
+    there is one orbit) and group elements, earlier kinds first."""
+    names = {nm: ("v", i) for i, nm in enumerate(alg.names["v"])}
+    names.update((nm, ("p", i)) for i, nm in enumerate(alg.names["p"]))
     if alg.nparams == 2:
         names.setdefault("c", ("p", 1))
     for gid in range(alg.group.order):
         names.setdefault(alg.group_name(gid), ("g", gid))
+    return names
 
-    tokens = _tokenize(text)
+
+def _number(tok):
+    """The int or Fraction that a number token writes."""
+    num, _, den = tok.partition("/")
+    if not den:
+        return int(num)
+    if not int(den):
+        raise LiteralError("zero denominator in %r" % tok)
+    return _lower(Fraction(int(num), int(den)))
+
+
+def _parse_element(alg, text):
+    tokens = []
+    for num, name, op, bad in re.findall(_TOKEN, text):
+        if bad:
+            raise LiteralError("unexpected character %r in element literal" % bad)
+        tokens.append(num or name or op)
+    if alg._literal_names is None:
+        alg._literal_names = _literal_names(alg)
+    names = alg._literal_names
+    table = alg.group.table
     pos = 0
 
     def peek():
@@ -669,70 +748,68 @@ def _parse_element(alg, text):
         for s, f in ((a, b), (b, a)):
             if all(not m and not g for m, g, _ in s.terms):
                 return alg._times({k: x for (_, _, k), x in s.terms.items()}, f)
-        if len(b.terms) == 1:
-            ((m, g, k), x), = b.terms.items()
-            if not m:
-                # a group element on the right relabels the group parts
-                return alg._times({k: x}, a, g)
-            if len(m) == 1 and not g and not k and all(not h and m >= w[-1:] for w, h, _ in a.terms):
-                # a letter at or after the last one of every word, with no
-                # group part in between, leaves each word sorted
-                return SRAElement(alg, {(w + m, 0, kw): c * x for (w, _, kw), c in a.terms.items()})
         return a * b
 
-    def parse_factor():
+    def parse_factor(terms):
+        """The flat map ``terms`` times the next factor to its power: by
+        right insertions for a letter, by scaling for a number, by
+        relabeling for a group element, else through ``times``."""
         tok = take()
         if tok == "(":
-            e = parse_expr()
+            kind, base = "e", parse_expr()
             if peek() != ")":
                 raise LiteralError("unbalanced parentheses in element literal")
             take()
-            base = e
         elif tok[0].isdigit():
-            try:
-                base = alg.scalar(parse_rational(tok))
-            except ValueError as exc:
-                raise LiteralError(str(exc)) from None
+            kind, base = "n", _number(tok)
         elif tok in names:
-            kind, idx = names[tok]
-            if kind == "v":
-                base = alg.gen(idx)
-            elif kind == "p":
-                base = alg.param(idx)
-            else:
-                base = alg.group_elt(idx)
+            kind, base = names[tok]
         else:
             raise LiteralError("unknown symbol %r in element literal" % tok)
+        n = 1
         if peek() == "^":
             take()
             exp = take()
-            if not exp.isdigit():
+            if not exp.isdecimal():
                 raise LiteralError("exponent must be a nonnegative integer")
             n = int(exp)
             if n > MAX_LITERAL_EXPONENT:
                 raise LiteralError("exponent %d exceeds the literal limit %d" % (n, MAX_LITERAL_EXPONENT))
-            out = alg.one()
+        if kind == "v":
+            alg._fits(alg._top(k for _, _, k in terms), max((len(m) for m, _, _ in terms), default=0) + n, "product")
+            for _ in range(n):
+                terms = alg._right_letter(terms, base)
+        elif kind == "n":
+            terms = K.mscale(terms, base**n)
+        elif kind == "g":
+            g = 0
+            for _ in range(n):
+                g = table[g][base]
+            terms = {(m, table[h][g], k): c for (m, h, k), c in terms.items()}
+        else:
+            out = SRAElement(alg, terms)
+            base = alg.param(base) if kind == "p" else base
             for _ in range(n):
                 out = times(out, base)
-            base = out
-        return base
+            terms = out.terms
+        return terms
 
     def parse_term():
-        out = parse_factor()
+        terms = parse_factor({((), 0, 0): 1})
         while peek() == "*":
             take()
-            out = times(out, parse_factor())
-        return out
+            terms = parse_factor(terms)
+        return SRAElement(alg, terms)
 
     def parse_expr():
-        sign = R1
+        negate = peek() == "-"
         if peek() in ("+", "-"):
-            if take() == "-":
-                sign = -R1
-        out = parse_term().scale(sign)
+            take()
+        out = parse_term()
+        if negate:
+            out = -out
         while peek() in ("+", "-"):
-            sgn = -R1 if take() == "-" else R1
-            out = out + parse_term().scale(sgn)
+            out = out - parse_term() if take() == "-" else out + parse_term()
         return out
 
     result = parse_expr()
@@ -806,10 +883,7 @@ def conjugation_sum(alg, elt, gids):
     AlgebraError when a parameter exponent could reach 2^PACK_BITS.
     """
     table, inv = alg.group.table, alg.group.inv
-    # each kappa step removes two letters, as in ``multiply``
-    longest = max((len(m) for m, _, _ in elt.terms), default=0)
-    if alg._top(k for _, _, k in elt.terms) + alg._kappa_exp * (longest // 2) >= _FIELD:
-        raise AlgebraError("a parameter exponent of this conjugate could reach 2^%d" % PACK_BITS)
+    alg._fits(alg._top(k for _, _, k in elt.terms), max((len(m) for m, _, _ in elt.terms), default=0), "conjugate")
     out = {}
     for (m, h, k), x in elt.terms.items():
         for g in gids:
@@ -818,16 +892,13 @@ def conjugation_sum(alg, elt, gids):
 
 
 def _bracket(alg, z, i):
-    """[z, v_i] as a flat map, for z a flat map: z v_i moves v_i left past
-    each term's group part (a column of its matrix), v_i z puts it in
-    front.  The caller bounds the exponents (``center_basis``)."""
+    """[z, v_i] as a flat map, for z a flat map: z v_i is one right
+    insertion (``_right_letter``), v_i z puts v_i in front.  The caller
+    bounds the exponents (``center_basis``)."""
     table = alg.group.table
-    out = {}
+    out = alg._right_letter(z, i)
     for (m, h, k), x in z.items():
-        pu = {k: x}
-        for l, q in alg._column(h, i):
-            K.pbw_addmul(out, alg._word_normal(m + (l,)), pu, q, table, h)
-        K.pbw_addmul(out, alg._word_normal((i,) + m), pu, -1, table, h)
+        K.pbw_addmul(out, alg._word_normal((i,) + m), {k: x}, -1, table, h)
     return out
 
 

@@ -1,10 +1,12 @@
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -344,3 +346,48 @@ def test_python_m_srak_is_the_cli():
     assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["checks"][0]["data"]["graded_dims"] == [1, 0, 3]
+
+
+def _main_in_process(argv, capsys):
+    """(exit code, stdout) of ``cli.main(argv)`` under the default recursion limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, top", [
+    (["sra", "normalize", "--group", "symmetric:2:reflection", "--expr", "y^32*x^32"], "x^32*y^32"),
+    (["sra", "normalize", "--group", "symmetric:2:reflection", "--expr", "y^40*x^40"], "x^40*y^40"),
+    (["sra", "normalize", "--group", "symmetric:2:reflection", "--expr", "y^100*x^100"], "x^100*y^100"),
+    (["sra", "mul", "--group", "symmetric:2:reflection", "--lhs", "y^40", "--rhs", "x^40"], "x^40*y^40"),
+], ids=["y32x32", "y40x40", "y100x100", "mul-y40-x40"])
+def test_long_literals_normalize(argv, top, capsys):
+    # up to the literal cap: the rewriting recurses once per letter of the
+    # word, not once per inversion; the printed order ends on the top term
+    code, out = _main_in_process(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["checks"][0]["data"]["result"].endswith(" + " + top)
+
+
+def test_rank_two_long_literal_is_quick(capsys):
+    start = time.perf_counter()
+    code, _ = _main_in_process(["sra", "normalize", "--group", "symmetric:3:reflection", "--expr", "y1^12*x1^12"], capsys)
+    assert code == 0
+    assert time.perf_counter() - start <= 10
+
+
+@pytest.mark.parametrize("group, expr, digest", [
+    ("symmetric:2:reflection", "y^31*x^31", "946c4e526e50926af05def7d28e41b86da2d79de9ab813ed0b46066683de9887"),
+    ("symmetric:3:reflection", "y1^6*x1^6", "73793a071c3724ac6c7479e1befd7bafcd32c5da7ffd4cc0ef5129e59633e8dc"),
+    ("symmetric:3:reflection", "y2^5*x1^3*y1^2*x2^4*s1",
+     "bca3fa46eb044bc221fc32d3b767cb7ba84db21933e8fd6f8e0ba7a801d1f46c"),
+])
+def test_long_literal_reports_keep_their_bytes(group, expr, digest, capsys):
+    # sha256 of the reports as the swap-by-swap rewriting printed them
+    code, out = _main_in_process(["sra", "normalize", "--group", group, "--expr", expr], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from conftest import PRODUCT_SPEC, S2_SPEC, S3_SPEC, fraction_normal_form, reference_center, reference_satake, spherical_corner
@@ -728,14 +729,20 @@ def test_word_cache_holds_normal_forms(g3, rd3):
     assert len(alg._word_cache) > 20
     for word, normal_form in alg._word_cache.items():
         assert all(c != 0 for c in normal_form.values()), word
-        got = {}
-        for (m, g, key), c in normal_form.items():
-            e = S.unpack_key(key, alg.nparams)
-            weight = 1
-            for d, k in zip(alg.scales, e):
-                weight *= d**k
-            got.setdefault((m, g), {})[e] = Fraction(c) / weight
-        assert got == fraction_normal_form(alg, [([("v", v) for v in word],)]), word
+        assert _in_c_variables(alg, normal_form) == fraction_normal_form(alg, [([("v", v) for v in word],)]), word
+
+
+def _in_c_variables(alg, normal_form):
+    """A flat normal form read back in the c-variables (u_p = c_p / d_p):
+    {(word, gid): {exponents: Fraction}}."""
+    out = {}
+    for (m, g, key), c in normal_form.items():
+        e = S.unpack_key(key, alg.nparams)
+        weight = 1
+        for d, k in zip(alg.scales, e):
+            weight *= d**k
+        out.setdefault((m, g), {})[e] = Fraction(c) / weight
+    return out
 
 
 def test_no_float_reaches_a_term_map(g3, rd3):
@@ -778,3 +785,102 @@ def test_to_str_keys_each_group_matrix_once(monkeypatch):
     for e in elts:
         order = sorted(e.coefficients(), key=lambda k: (len(k[0]), k[0], inner(g3.mats[k[1]])))
         assert [k for k, _ in e.sorted_terms()] == order
+
+
+# -- the free-letter rule on presentations that are not x prefix / y suffix --
+
+
+def _reindexed_s3():
+    """The S3 omega form in the basis order (x1, y1, x2, y2): the group's
+    matrices and form, and the commutator table, permuted."""
+    alg = engine_algebra("s3-omega")
+    grp = alg.group
+    perm = (0, 2, 1, 3)  # new index -> old index
+    n = len(perm)
+
+    def permuted(mat):
+        return tuple(tuple(mat[perm[a]][perm[b]] for b in range(n)) for a in range(n))
+
+    group = G.FiniteSymplecticGroup(n, permuted(grp.omega), [permuted(m) for m in grp.mats], grp.table, grp.inv,
+                                    grp.classes, grp.generator_ids, gen_names=grp.gen_names)
+    kappa = {}
+    for a in range(n):
+        for b in range(a):
+            i, j = perm[a], perm[b]
+            if i > j:
+                terms = alg.kappa.get((i, j), ())
+            else:
+                terms = tuple((g, {e: -c for e, c in poly.items()}) for g, poly in alg.kappa.get((j, i), ()))
+            if terms:
+                kappa[(a, b)] = terms
+    return S.SRAlgebra(group, kappa, alg.nparams)
+
+
+def _weyl_table():
+    """Constant commutators [v1, v0] = t, [v3, v0] = 2, [v3, v2] = t - 1 on
+    four letters with the trivial group: v2 commutes with every smaller
+    letter and v1 with every larger one, but v0 and v3 with neither."""
+    group = G.group_from_spec({"dim_h": 2, "generators_on_h": []})
+    t, one = (1,), (0,)
+    kappa = {(1, 0): ((0, {t: rat(1)}),), (3, 0): ((0, {one: rat(2)}),), (3, 2): ((0, {t: rat(1), one: rat(-1)}),)}
+    return S.SRAlgebra(group, kappa, 1)
+
+
+FREE_LETTER_ALGEBRAS = {"s3-reindexed": _reindexed_s3, "weyl": _weyl_table}
+
+
+@pytest.mark.parametrize("name, lower, upper", [
+    ("s3-reindexed", (True, False, False, False), (False, False, False, False)),
+    ("weyl", (True, False, True, False), (False, True, False, True)),
+])
+def test_free_letters_match_the_fraction_reference(name, lower, upper):
+    """Word normal forms and products, with the lower-free prefix and the
+    upper-free suffix of each word only sorted in, equal plain rewriting."""
+    alg = FREE_LETTER_ALGEBRAS[name]()
+    assert (alg._lower_free, alg._upper_free) == (lower, upper)
+    rng = random.Random(38)
+    for _ in range(80):
+        word = tuple(rng.randrange(alg.nv) for _ in range(rng.randint(2, 6)))
+        want = fraction_normal_form(alg, [([("v", v) for v in word],)])
+        assert _in_c_variables(alg, alg._word_normal(word)) == want, word
+    for _ in range(20):
+        a, b = random_element(alg, rng, max_degree=3), random_element(alg, rng, max_degree=3)
+        assert term_maps(alg.multiply(a, b)) == reference_product(alg, a, b)
+
+
+def _count_multiply(monkeypatch):
+    calls = []
+    inner = S.SRAlgebra.multiply
+
+    def counting(self, a, b, xcap=None):
+        calls.append(xcap)
+        return inner(self, a, b, xcap)
+
+    monkeypatch.setattr(S.SRAlgebra, "multiply", counting)
+    return calls
+
+
+def test_literal_letters_parse_without_multiplying(omega_alg3, monkeypatch):
+    # a letter is one right insertion, a number a scaling and a group
+    # element a relabeling: none of them multiplies
+    calls = _count_multiply(monkeypatch)
+    got = omega_alg3.parse("3*x1*y2*x1*s1*s2 - y1*x2")
+    monkeypatch.undo()
+    assert calls == []
+    s12 = omega_alg3.parse("s1*s2")
+    want = omega_alg3.gen(0) * omega_alg3.gen(3) * omega_alg3.gen(0) * s12 * 3 - omega_alg3.gen(2) * omega_alg3.gen(1)
+    assert got == want
+
+
+def test_pbw_pass_multiply_count(monkeypatch):
+    # one pass of the benchmark's pbw workload at seed 1: 1536 triples, and
+    # for each only the four products (ab)c and a(bc)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    pbw = workloads.Pbw()
+    jobs = list(pbw.pass_jobs(1, 0, pbw.build(), {}))
+    calls = _count_multiply(monkeypatch)
+    for job in jobs:
+        job.run()
+    assert len(calls) == 4 * len(jobs) == 6144
