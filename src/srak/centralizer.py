@@ -211,7 +211,7 @@ def realization_rank(ctx):
     """Rank of the smash realization with A0 = Q, where the indicator of
     coset i maps to ``idempotent(ctx, i)`` and g to ``embed_group(ctx, g)``:
     the rank of the products of the two over all i and g, in the
-    coordinates of group-algebra coefficients (the value at ((), h, 0) of
+    coordinates of group-algebra coefficients (the value at (0, h, 0) of
     a group-only ``SRAElement``, for h in H).  The realization is
     bijective when it equals both k |G| and k^2 |H|."""
     tracker = linalg.RankTracker()
@@ -219,5 +219,5 @@ def realization_rank(ctx):
         e = idempotent(ctx, i)
         for g in range(ctx.group.order):
             m = e * embed_group(ctx, g)
-            tracker.add([x.terms.get(((), h, 0), 0) for row in m.mat for x in row for h in ctx.sub_ids])
+            tracker.add([x.terms.get((0, h, 0), 0) for row in m.mat for x in row for h in ctx.sub_ids])
     return tracker.rank

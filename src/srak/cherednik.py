@@ -227,7 +227,7 @@ def euler_element(ch):
     alg = ch.algebra
     out = alg.scalar(rat(ch.h_dim, 2))
     for i in range(ch.h_dim):
-        out = out + SRAElement(alg, {((ch.x_index(i), ch.y_index(i)), 0, 0): 1})
+        out = out + SRAElement(alg, {(alg.pack_word((ch.x_index(i), ch.y_index(i))), 0, 0): 1})
     for ref in ch.reflections:
         coeff = -(rat(2) / (R1 - ref.eigenvalue))
         out = out + alg.group_elt(ref.gid).scale(ParamPoly.var(alg.nparams, ref.orbit + 1, coeff=coeff))

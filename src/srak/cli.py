@@ -10,9 +10,10 @@ stdout (or --out); human summaries and timing go to stderr.  Exit codes:
 them ``ArityError``, an exponent vector of the wrong length or with a
 negative entry, a typea ``--n`` below 2, a typea ``--slice-cutoff`` of
 0, a be-iso ``--order`` below 2 and a be-iso ``--c`` other than
-``generic``), 3 computational precondition failures, 4 internal error
-(any other exception; its traceback goes to stderr).  No environment
-variable is consulted.
+``generic``), 3 computational precondition failures (among them a
+product or element literal whose words could reach 2^``sra.WORD_BITS``
+letters), 4 internal error (any other exception; its traceback goes to
+stderr).  No environment variable is consulted.
 """
 
 import argparse

@@ -12,20 +12,20 @@ first argument.
 
 Two convolutions: ``mmul`` adds exponent tuples componentwise, for
 ``ParamPoly`` products and for the memo of group images of x-monomials
-in ``cherednik.StandardModule`` (one product per new image);
-``pmul``, the fused ``emap_addmul`` and ``pbw_addmul`` take packed int
-keys, whose sum is the product monomial.  ``pbw_addmul`` is the PBW
-engine's accumulator (see ``sra``, which packs exponent vectors and
-guards the fields against carries): one call adds a whole flat map
-{(word, gid, packed key): value}, the shape of an ``sra`` element and of
-its cached normal forms, times a packed polynomial, the group part
-multiplied on the right by one element through the Cayley table.  It
-fills ``multiply``'s product and the letter insertions of the rewriting
-(``SRAlgebra._right_letter``, where a letter does not sort after its
-word), and forms conjugation sums, center brackets and scalar multiples.
-``pmul`` forms the coefficient products of ``multiply``'s two factors
-when either has more than one monomial, and ``emap_addmul`` the Z[c]
-pairing entries of ``cherednik.packed_gram_tower``.
+in ``cherednik.StandardModule`` (one product per new image); the fused
+``emap_addmul`` and ``pbw_addmul`` take packed int keys, whose sum is the
+product monomial.  ``pbw_addmul`` is the PBW engine's accumulator (see
+``sra``, which packs exponent vectors and guards the fields against
+carries): one call adds a whole flat map {(packed word, gid, packed key):
+value}, the shape of an ``sra`` element and of its cached normal forms,
+times a packed polynomial, the group part multiplied on the right by one
+element through the Cayley table.  A word is packed too, one field per
+letter, so a key is three ints and sorting commuting letters together is
+adding words.  ``pbw_addmul`` fills the letter insertions of the
+rewriting (``SRAlgebra._right_letter``, where a letter does not sort
+after its word) and forms conjugation sums, center brackets and scalar
+multiples; ``emap_addmul`` forms the Z[c] pairing entries of
+``cherednik.packed_gram_tower``.
 
 Callers: ``ParamPoly`` arithmetic, the PBW engine and its elements
 (``sra``, which converts to ``ParamPoly`` only to print, to take user
@@ -35,11 +35,13 @@ matrices are group-only elements of this kind), the Dunkl module vectors
 products by t and c are key shifts) and pairing matrices
 (``cherednik``), and the sparse rows of the elimination
 (``linalg.RankTracker``).  The PBW hot loops stay outside on purpose:
-``SRAlgebra._gexpand``, where building a map per word costs measurably
-more than the merge, and the steps of the rewriting that add one key per
-term (``_insert``'s kappa terms, ``_right_letter``'s letters that sort
-after their word, and ``_word_normal``'s free letters sorted into the
-normal form of a core), where a kernel call would add a one-term map.
+``SRAlgebra.multiply``, which accumulates each memoized piece with the
+left word's lower-free head added to its words, ``SRAlgebra._gexpand``,
+where building a map per letter costs measurably more than the merge,
+and the steps of the rewriting that add one key per term (``_insert``'s
+kappa terms, ``_right_letter``'s letters that sort after their word, and
+``_word_normal``'s free letters sorted into the normal form of a core),
+where a kernel call would add a one-term map.
 """
 
 
@@ -113,17 +115,11 @@ def mmul(a, b):
     return out
 
 
-def pmul(a, b):
-    """Convolution product of two maps with packed int keys: a key is a
-    monomial, and the product of two monomials is the sum of their keys."""
-    out = {}
-    emap_addmul(out, 0, a, b, 1)
-    return out.get(0, {})
-
-
 def emap_addmul(out, key, a, b, s):
-    """In-place out[key] += s * pmul(a, b), without building the product
-    map; values of out are packed-key term maps."""
+    """In-place out[key] += s * a * b for two maps with packed int keys (a
+    key is a monomial, and the product of two monomials is the sum of
+    their keys), without building the product map; values of out are
+    packed-key term maps."""
     if not s or not a or not b:
         return out
     acc = out.get(key)

@@ -696,7 +696,7 @@ def _second_scaling_weight(telt, xc):
     x fixed; None when it is not homogeneous.  Read off P's keys, which
     are the value's."""
     alg = telt.parent.algebra
-    weights = {sum(1 for v in mono if v >= xc) + sum(alg._unpack(k)[0]) for mono, _, k in telt.elt.terms}
+    weights = {alg._letters(w, alg.nv) - alg._letters(w, xc) + sum(alg._unpack(k)[0]) for w, _, k in telt.elt.terms}
     return weights.pop() if len(weights) == 1 else None
 
 

@@ -31,8 +31,12 @@ off the table when the algebra is built.  Sorting them in meets no kappa
 term, so NF(P core S), with P the longest lower-free prefix and S the
 longest upper-free suffix, is NF(core) with P and, through each term's
 group part, S sorted into each term: in a doubled algebra only y...x cores
-are rewritten.  ``_word_cache`` holds the normal form of each word met
-and of each prefix of a folded core.
+are rewritten.  ``_word_cache`` holds the normal form of each word met (a
+letter tuple) and of each prefix of a folded core.  ``multiply`` takes
+every lower-free letter of a sorted left word off as its head (each moves
+to the front past the smaller letters) and memoizes NF(rest . piece) by
+the pair of packed words; g . m is folded one letter at a time
+(``_gmono_normal``), one term per monomial.
 
 The omega-form presentation (kappa built from the symplectic form and the
 per-reflection forms, with parameter t on the identity and c_i on orbit
@@ -45,29 +49,32 @@ variables u_p = c_p / d_p, in which the builtin kappa tables and group
 matrices are integral (the S3 omega-form kappa has d = (1, 2)).  A
 monomial u^e is keyed by one int, with e_p in bits
 [PACK_BITS*p, PACK_BITS*(p+1)), so multiplying two monomials is adding two
-ints (packed exponent vectors, Monagan-Pearce 2007).  An element, the
-rewriting caches and every intermediate result are one kind of flat map
-with one key per term, (sorted word, gid, packed u-monomial) -> int or
-Fraction, filled by ``coeffs._kernel.pbw_addmul``, one call per normal
-form and coefficient polynomial, or term by term where one letter is
-inserted.  The coefficient of u^e is that of c^e times prod d_p^e_p.
+ints (packed exponent vectors, Monagan-Pearce 2007).  A sorted word is
+packed alike, the count of letter l in bits [WORD_BITS*l, WORD_BITS*(l+1)):
+sorting commuting letters together is adding words, the last letter is
+the top field, and the length and x-degree are sums of the low fields,
+read off one product with the all-ones word.  An element, the rewriting
+caches and every intermediate result are one kind of flat map with one
+key per term, (packed sorted word, gid, packed u-monomial) -> int or
+Fraction.  The coefficient of u^e is that of c^e times prod d_p^e_p.
 
 Conversion to and from the public c-variables (``ParamPoly``, exponent
 tuples, ``Fraction`` values) happens only at the edges: ``element``,
 ``scalar``, ``param``, ``SRAElement.scale`` by a ``ParamPoly`` and the
 literal parser's parameters pack coefficients in (``SRAlgebra._to_u``),
 and ``SRAElement.coefficients`` (which ``to_str`` prints) unpacks them and
-divides back exactly.  ``specialize`` substitutes on the packed keys.  A
-carry between fields would be silent, so ``multiply`` first bounds the
-product's exponents: E(a) + E(b) + k*(L(a) + L(b))//2, with E a factor's
-largest parameter exponent, L its longest word and k the largest exponent
-in the kappa table (each kappa step removes two letters), and raises
-AlgebraError when that reaches 2^PACK_BITS (``_fits``, which the parser
-also asks before it inserts letters); packing an exponent that does not
-fit its field raises too.  Data that stays non-integral after
-scaling (a constant kappa term with a denominator, a non-integral group
-matrix) flows through the same code as ``Fraction`` values mixed with
-ints.
+divides back exactly; words convert at the same edges (``pack_word``,
+``word_of``).  ``specialize`` substitutes on the packed keys.  A carry
+between fields would be silent, so ``multiply`` first bounds the product:
+L(a) + L(b) letters, L a factor's longest word, must stay below
+2^WORD_BITS, and E(a) + E(b) + k*(L(a) + L(b))//2, with E a factor's
+largest parameter exponent and k the largest exponent in the kappa table
+(each kappa step removes two letters), below 2^PACK_BITS; else it raises
+AlgebraError (``_fits``, which the parser also asks before it inserts
+letters).  Packing an exponent or a word that does not fit raises too.
+Data that stays non-integral after scaling (a constant kappa term with a
+denominator, a non-integral group matrix) flows through the same code as
+``Fraction`` values mixed with ints.
 
 Also here: the spherical corner, degree-truncated center computation
 with its corner cross-checks, the Poisson bracket on the t = 0 center,
@@ -78,7 +85,6 @@ between threads.
 
 import math
 import re
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -92,6 +98,12 @@ from .coeffs import _kernel as K
 # exponent e_p of u^e sits in bits [PACK_BITS*p, PACK_BITS*(p+1))
 PACK_BITS = 32
 _FIELD = 1 << PACK_BITS
+
+# width in bits of one letter's field in a packed word: a sorted word with
+# e_l copies of letter l is the int sum of e_l << (WORD_BITS*l); a word of
+# S4's six letters fits 60 bits, two 30-bit digits of a Python int
+WORD_BITS = 10
+_WFIELD = 1 << WORD_BITS
 
 
 def pack_key(e):
@@ -178,15 +190,17 @@ class SRAlgebra:
         # with no zero coefficient (``_insert`` adds its terms one by one)
         self._kappa = {key: tuple((gid, self._to_u({e: c for e, c in poly.items() if c})) for gid, poly in terms)
                        for key, terms in kappa.items()}
-        self._kappa_exp = self._top(k for terms in self._kappa.values() for _, poly in terms for k in poly)
+        self._kappa_exp = max((e for terms in self._kappa.values() for _, poly in terms for k in poly for e in unpack_key(k, nparams)), default=0)
         self.x_count = x_count
         self.rdata = rdata
         self.presentation = presentation
         self.names = names or self._default_names()
-        self._word_cache = {}
+        self._word_cache = {}  # letter tuple -> its normal form
+        self._pair_cache = {}  # (packed w, packed u), both sorted -> NF(w u)
         self._gexp_cache = {}
         self._gmono_cache = {}
         self._columns = {}
+        self._words = {}  # packed word -> letter tuple
         self._literal_names = None  # built by the first ``parse``
         for (j, i) in kappa:
             if not (0 <= i < j < self.nv):
@@ -198,6 +212,10 @@ class SRAlgebra:
         self._lower_free = tuple(not any((a, v) in rewrites for v in range(a)) for a in range(n))
         span = [{l for mat in group.mats for l in range(n) if mat[l][v]} for v in range(n)]
         self._upper_free = tuple(not any((b, l) in rewrites for l in span[v] for b in range(l + 1, n)) for v in range(n))
+        # the one-letter words, their sum, and the fields of the lower-free letters
+        self._units = tuple(1 << (WORD_BITS * l) for l in range(n))
+        self._ones = sum(self._units)
+        self._lower_mask = sum(u for u, free in zip(self._units, self._lower_free) if free)
 
     def _default_names(self):
         n = self.nv
@@ -238,8 +256,8 @@ class SRAlgebra:
         if isinstance(value, ParamPoly):
             if value.arity != self.nparams:
                 raise AlgebraError("parameter arity mismatch")
-            return SRAElement(self, {((), 0, k): c for k, c in self._to_u(value.terms).items()})
-        return SRAElement(self, {((), 0, 0): value} if value else {})
+            return SRAElement(self, {(0, 0, k): c for k, c in self._to_u(value.terms).items()})
+        return SRAElement(self, {(0, 0, 0): value} if value else {})
 
     def one(self):
         return self.scalar(1)
@@ -250,29 +268,50 @@ class SRAlgebra:
     def gen(self, v_index, power=1):
         if not (0 <= v_index < self.nv):
             raise AlgebraError("basis index out of range")
-        return SRAElement(self, {((v_index,) * power, 0, 0): 1})
+        return SRAElement(self, {(self.pack_word((v_index,) * power), 0, 0): 1})
 
     def group_elt(self, gid):
-        return SRAElement(self, {((), gid, 0): 1})
+        return SRAElement(self, {(0, gid, 0): 1})
 
     def vector(self, coeffs, gid=0):
         """Element sum(coeffs[i] * v_i) * g."""
-        return SRAElement(self, {((i,), gid, 0): c for i, c in enumerate(coeffs) if c})
+        return SRAElement(self, {(self._units[i], gid, 0): c for i, c in enumerate(coeffs) if c})
 
     def element(self, raw_terms):
-        """Element from {(word, gid): coefficient}, a coefficient a ParamPoly
-        or a raw {exponents: rational} map in the c-variables.  Raises
-        ArityError on an exponent tuple of the wrong length or with a
-        negative entry, and AlgebraError on one too large to pack."""
+        """Element from {(sorted word, gid): coefficient}, a coefficient a
+        ParamPoly or a raw {exponents: rational} map in the c-variables.
+        Raises ArityError on an exponent tuple of the wrong length or with a
+        negative entry, and AlgebraError on one or a word too large to pack."""
         terms = {}
         for (m, g), v in raw_terms.items():
             if isinstance(v, ParamPoly):
                 if v.arity != self.nparams:
                     raise ArityError("coefficient arity %d, expected %d" % (v.arity, self.nparams))
                 v = v.terms
+            w = self.pack_word(m)
             for k, c in self._to_u({e: c for e, c in v.items() if c}).items():
-                terms[(m, g, k)] = c
+                terms[(w, g, k)] = c
         return SRAElement(self, terms)
+
+    def pack_word(self, word):
+        """The packed int of a word (a letter tuple, in any order); raises
+        AlgebraError on 2^WORD_BITS letters or more."""
+        if len(word) >= _WFIELD:
+            raise AlgebraError("a word of %d letters reaches 2^%d" % (len(word), WORD_BITS))
+        return sum(map(self._units.__getitem__, word))
+
+    def word_of(self, w):
+        """The sorted letter tuple of a packed word (memoized)."""
+        hit = self._words.get(w)
+        if hit is None:
+            hit = self._words[w] = tuple(l for l in range(self.nv) for _ in range((w >> (WORD_BITS * l)) & (_WFIELD - 1)))
+        return hit
+
+    def _letters(self, w, below):
+        """The number of letters < ``below`` in the packed word w (``nv``:
+        its length): field p of w * ``_ones`` holds the sum of w's fields up
+        to p, exact while a word has fewer than 2^WORD_BITS letters."""
+        return (w * self._ones >> WORD_BITS * (below - 1)) & (_WFIELD - 1)
 
     # -- rewriting core --------------------------------------------------
     #
@@ -311,17 +350,6 @@ class SRAlgebra:
             hit = self._unpacks[key] = (e, self._pack(e)[1])
         return hit
 
-    @staticmethod
-    def _top(keys):
-        """The largest single exponent in some packed keys."""
-        top = 0
-        for key in set(keys):
-            while key:
-                if key & (_FIELD - 1) > top:
-                    top = key & (_FIELD - 1)
-                key >>= PACK_BITS
-        return top
-
     def _column(self, gid, v):
         key = (gid, v)
         col = self._columns.get(key)
@@ -332,19 +360,21 @@ class SRAlgebra:
         return col
 
     def _gexpand(self, gid, word):
-        """Expansion of g . word as a tuple of (word', coefficient)."""
+        """g . word for a word whose letters' G-spans commute (an upper-free
+        tail), as a tuple of (packed word, coefficient)."""
         key = (gid, word)
         hit = self._gexp_cache.get(key)
         if hit is not None:
             return hit
-        acc = {(): 1}
-        # merged by hand: routed through K.maxpy this builds a map per word, measurably slower
+        units = self._units
+        acc = {0: 1}
+        # merged by hand: routed through K.maxpy this builds a map per letter, measurably slower
         for v in word:
             col = self._column(gid, v)
             nxt = {}
             for w, c in acc.items():
                 for l, m in col:
-                    k = w + (l,)
+                    k = w + units[l]
                     cur = nxt.get(k)
                     if cur is None:
                         nxt[k] = c * m
@@ -355,16 +385,15 @@ class SRAlgebra:
                         else:
                             del nxt[k]
             acc = nxt
-        out = tuple(sorted(acc.items()))
-        self._gexp_cache[key] = out
+        out = self._gexp_cache[key] = tuple(acc.items())
         return out
 
     def _word_normal(self, word):
-        """Normal form of a plain word of basis indices.
+        """Normal form of a plain word of basis indices (a letter tuple).
 
-        Returns a frozen flat map {(sorted word, gid, packed key): value}.
-        Callers must not mutate the result.  The free letters and the fold
-        of the core are described in the module docstring.
+        Returns a frozen flat map {(packed sorted word, gid, packed key):
+        value}.  Callers must not mutate the result.  The free letters and
+        the fold of the core are described in the module docstring.
         """
         hit = self._word_cache.get(word)
         if hit is not None:
@@ -380,13 +409,14 @@ class SRAlgebra:
         while s < len(core) and core[s - 1] <= core[s]:
             s += 1
         if s >= len(core):
-            out = {(tuple(sorted(word)), 0, 0): 1}
+            out = {(self.pack_word(word), 0, 0): 1}
         elif i or j < len(word):
-            head, tail = word[:i], word[j:]
+            head, tail = self.pack_word(word[:i]), word[j:]
+            plain = ((self.pack_word(tail), 1),)
             out = {}
             for (m, h, k), c in self._word_normal(core).items():
-                for w, q in self._gexpand(h, tail) if h and tail else ((tail, 1),):
-                    key = (tuple(sorted(head + m + w)), h, k)
+                for w, q in self._gexpand(h, tail) if h and tail else plain:
+                    key = (head + m + w, h, k)
                     cur = out.get(key, 0) + c * q
                     if cur:
                         out[key] = cur
@@ -401,13 +431,14 @@ class SRAlgebra:
         return out
 
     def _insert(self, word, v):
-        """Normal form of the sorted word m = m' a times a letter v < a:
-        NF(m' v) a + m' kappa(a, v)."""
+        """Normal form of the sorted word m = m' a (a letter tuple) times a
+        letter v < a: NF(m' v) a + m' kappa(a, v)."""
         head, a = word[:-1], word[-1]
         if not head or head[-1] <= v:
-            out = {(head + (v, a), 0, 0): 1}
+            out = {(self.pack_word(word) + self._units[v], 0, 0): 1}
         else:
             out = self._right_letter(self._word_normal(head + (v,)), a)
+        head = self.pack_word(head)
         for gid, poly in self._kappa.get((a, v), ()):
             for k, c in poly.items():
                 key = (head, gid, k)
@@ -418,107 +449,133 @@ class SRAlgebra:
                     del out[key]
         return out
 
+    def _pair(self, w, u):
+        """NF(w u) for two packed sorted words, memoized by the pair."""
+        out = self._pair_cache[(w, u)] = self._word_normal(self.word_of(w) + self.word_of(u))
+        return out
+
     def _right_letter(self, nf, v):
         """The flat normal form ``nf`` times the letter v on the right, as a
         new map: (w, h) v = w (h . v) h, one insertion per letter of h . v
-        that does not already sort after w."""
-        table = self.group.table
+        that does not already sort after w (w's last letter is its top
+        field)."""
+        table, units, pairs = self.group.table, self._units, self._pair_cache
         out = {}
         for (w, h, k), c in nf.items():
+            last = (w.bit_length() - 1) // WORD_BITS
             for l, q in self._column(h, v):
-                if not w or w[-1] <= l:
-                    key = (w + (l,), h, k)
+                if last <= l:
+                    key = (w + units[l], h, k)
                     cur = out.get(key, 0) + c * q
                     if cur:
                         out[key] = cur
                     else:
                         del out[key]
                 else:
-                    K.pbw_addmul(out, self._word_normal(w + (l,)), {k: c}, q, table, h)
+                    src = pairs.get((w, units[l]))
+                    if src is None:
+                        src = self._pair(w, units[l])
+                    K.pbw_addmul(out, src, {k: c}, q, table, h)
         return out
 
     def _gmono_normal(self, gid, mono):
-        """Normal form of the element g . mono (no trailing group part)."""
+        """Normal form of the element g . mono (no trailing group part): g mono
+        = NF(g . mono) g, folded one letter at a time (one term per monomial)."""
         key = (gid, mono)
         hit = self._gmono_cache.get(key)
         if hit is not None:
             return hit
-        out = {}
-        for w, q in self._gexpand(gid, mono):
-            K.maxpy(out, self._word_normal(w), q)
-        self._gmono_cache[key] = out
+        out = {(0, gid, 0): 1}
+        for v in self.word_of(mono):
+            out = self._right_letter(out, v)
+        table, ginv = self.group.table, self.group.inv[gid]
+        out = self._gmono_cache[key] = {(w, table[h][ginv], k): c for (w, h, k), c in out.items()}
         return out
 
-    @staticmethod
-    def _by_word(terms):
-        """A flat map regrouped as {(word, gid): packed polynomial}, its
-        values lowered to ints where integral (so the core runs on ints)."""
-        out = {}
-        for (m, g, k), c in terms.items():
-            poly = out.get((m, g))
-            if poly is None:
-                out[(m, g)] = poly = {}
-            poly[k] = c if type(c) is int else _lower(c)
-        return out
-
-    def _fits(self, top, letters, what):
-        """Raise AlgebraError unless terms with parameter exponents up to
-        ``top`` on words of up to ``letters`` letters keep every packed field
-        in range: each kappa step removes two letters and raises an exponent
-        by at most ``_kappa_exp``."""
+    def _fits(self, what, *maps, letters=0):
+        """Raise AlgebraError unless a product of the flat maps ``maps``,
+        with ``letters`` more letters, keeps every packed field in range: a
+        word needs fewer than 2^WORD_BITS letters, and each kappa step
+        removes two letters and raises an exponent by at most
+        ``_kappa_exp``."""
+        ones, shift, top = self._ones, WORD_BITS * (self.nv - 1), 0
+        for terms in maps:
+            longest = high = 0
+            for w, _, k in terms:
+                if (w * ones >> shift) & (_WFIELD - 1) > longest:
+                    longest = (w * ones >> shift) & (_WFIELD - 1)
+                while k:
+                    if k & (_FIELD - 1) > high:
+                        high = k & (_FIELD - 1)
+                    k >>= PACK_BITS
+            top, letters = top + high, letters + longest
+        if letters >= _WFIELD:
+            raise AlgebraError("a word of this %s could reach 2^%d letters" % (what, WORD_BITS))
         if top + self._kappa_exp * (letters // 2) >= _FIELD:
             raise AlgebraError("a parameter exponent of this %s could reach 2^%d" % (what, PACK_BITS))
 
     def multiply(self, a, b, xcap=None):
         """Normal-form product.  ``xcap`` prunes terms whose x-degree is
         provably >= xcap (doubled algebras only).  Raises AlgebraError when
-        a parameter exponent of the product could reach 2^PACK_BITS."""
+        a parameter exponent of the product could reach 2^PACK_BITS or a
+        word 2^WORD_BITS letters.  With m1 = head rest, head the lower-free
+        letters, NF(m1 g1 m2 g2) is head NF(rest p) h' g1 g2 over the terms
+        p h' of NF(g1 . m2) (``_gmono_normal``)."""
         if a.algebra is not b.algebra:
             raise AlgebraError("elements of different algebras")
-        xc = self.x_count
-        table = self.group.table
-        word_normal = self._word_normal
-        wcache = self._word_cache
-        left = self._by_word(a.terms)
-        right = []  # (word, gid, packed polynomial, x-degree minus y-degree)
-        for (m2, g2), p2 in self._by_word(b.terms).items():
-            # normal-form words are sorted: the x letters lead
-            x2 = bisect_left(m2, xc) if xcap is not None else 0
-            right.append((m2, g2, p2, 2 * x2 - len(m2)))
-        longest = max((len(m) for m, _ in left), default=0) + max((len(r[0]) for r in right), default=0)
-        self._fits(self._top(k for _, _, k in a.terms) + self._top(k for _, _, k in b.terms), longest, "product")
+        self._fits("product", a.terms, b.terms)
+        letters, xc, nv = self._letters, self.x_count, self.nv
+        table, pairs, mask = self.group.table, self._pair_cache, self._lower_mask
+        ones, xs, fm = self._ones, WORD_BITS * (xc - 1) if xcap is not None else 0, _WFIELD - 1
+        # (word, gid, packed key, value, x-degree minus y-degree: kappa
+        # steps keep it, and it bounds the x-degree)
+        right = [(m2, g2, k2, c2 if type(c2) is int else _lower(c2), 2 * letters(m2, xc) - letters(m2, nv) if xcap is not None else 0)
+                 for (m2, g2, k2), c2 in b.terms.items()]
+        rows = {}  # g1 -> the right terms with NF(g1 . m2) and g1 g2
         out = {}
-        for (m1, g1), p1 in left.items():
+        get = out.get
+        for (m1, g1, k1), c1 in a.terms.items():
+            if type(c1) is not int:
+                c1 = _lower(c1)
+            head = m1 & mask
+            rest = m1 - head
             if xcap is not None:
-                xy1 = 2 * bisect_left(m1, xc) - len(m1)
-            for m2, g2, p2, xy2 in right:
+                xy1 = 2 * letters(m1, xc) - letters(m1, nv)
+                room = xcap - letters(head, xc)
+            row = rows.get(g1)
+            if row is None:
+                row = rows[g1] = [(self._gmono_normal(g1, m2).items(), table[g1][g2], k2, c2, xy2) for m2, g2, k2, c2, xy2 in right]
+            for pieces, g12, k2, c2, xy2 in row:
                 if xcap is not None and xy1 + xy2 >= xcap:
                     continue
-                g12 = table[g1][g2]
-                if len(p1) == 1 == len(p2):
-                    ((k1, c1),), ((k2, c2),) = p1.items(), p2.items()
-                    p12 = {k1 + k2: c1 * c2}
-                else:
-                    p12 = K.pmul(p1, p2)
-                    if not p12:
-                        continue
-                for (mp, gp, kq), q in self._gmono_normal(g1, m2).items():
-                    # the cache probed here: most pieces hit, and a method
+                k12, c12 = k1 + k2, c1 * c2
+                for (mp, gp, kq), q in pieces:
+                    # the memo probed here: most pieces hit, and a method
                     # call per hit was measurably slower
-                    w = m1 + mp
-                    src = wcache.get(w)
+                    src = pairs.get((rest, mp))
                     if src is None:
-                        src = word_normal(w)
-                    if xcap is not None:
-                        src = {key: c for key, c in src.items() if bisect_left(key[0], xc) < xcap}
-                    poly = {k + kq: c for k, c in p12.items()} if kq else p12
-                    K.pbw_addmul(out, src, poly, q, table, table[gp][g12])
+                        src = self._pair(rest, mp)
+                    g, kk, s = table[gp][g12], k12 + kq, c12 * q
+                    for (m, h, kb), cb in src.items():
+                        if xcap is not None and (m * ones >> xs) & fm >= room:
+                            continue
+                        key = (m + head, table[h][g], kb + kk)
+                        cur = get(key)
+                        if cur is None:
+                            out[key] = s * cb
+                        else:
+                            cur = cur + s * cb
+                            if cur:
+                                out[key] = cur
+                            else:
+                                del out[key]
         return SRAElement(self, out)
 
     def _times(self, poly, elt):
         """``elt`` times the scalar {packed key: value} ``poly``; raises
         AlgebraError when an exponent would not fit its field."""
-        self._fits(self._top(poly) + self._top(k for _, _, k in elt.terms), 0, "product")
+        # scaling rewrites nothing: the words do not count
+        self._fits("product", [(0, 0, k) for _, _, k in elt.terms], [(0, 0, k) for k in poly])
         return SRAElement(self, K.pbw_addmul({}, elt.terms, poly, 1, self.group.table, 0))
 
     def normalize_word(self, factors):
@@ -609,12 +666,13 @@ class SRAElement:
         return SRAElement(self.algebra, {k: x for k, x in out.items() if x})
 
     def coefficients(self):
-        """The terms in the public c-variables: {(word, gid): ParamPoly},
+        """The terms in the public c-variables: {(sorted word, gid): ParamPoly},
         keyed by exponent tuples, with ``Fraction`` values."""
         alg = self.algebra
         grouped = {}
         for (m, g, k), c in self.terms.items():
             e, w = alg._unpack(k)
+            m = alg.word_of(m)
             poly = grouped.get((m, g))
             if poly is None:
                 poly = grouped[(m, g)] = {}
@@ -623,22 +681,23 @@ class SRAElement:
 
     def vdegree(self):
         """Filtration degree: length of the longest word present."""
-        return max((len(m) for (m, _, _) in self.terms), default=0)
+        return max((self.algebra._letters(m, self.algebra.nv) for (m, _, _) in self.terms), default=0)
 
     def xdegree(self):
-        xc = self.algebra.x_count
-        return max((sum(1 for v in m if v < xc) for (m, _, _) in self.terms), default=0)
+        alg = self.algebra
+        return max((alg._letters(m, alg.x_count) for (m, _, _) in self.terms), default=0)
 
     def ydegree(self):
-        xc = self.algebra.x_count
-        return max((sum(1 for v in m if v >= xc) for (m, _, _) in self.terms), default=0)
+        alg = self.algebra
+        return max((alg._letters(m, alg.nv) - alg._letters(m, alg.x_count) for (m, _, _) in self.terms), default=0)
 
     def truncate_x(self, order):
-        """Drop terms of x-degree >= order (doubled algebras; normal-form
-        words are sorted, so the x letters lead)."""
-        xc = self.algebra.x_count
-        out = {k: v for k, v in self.terms.items() if bisect_left(k[0], xc) < order}
-        return SRAElement(self.algebra, out)
+        """Drop terms of x-degree >= order (doubled algebras; the x letters
+        are the low fields of a packed word)."""
+        alg = self.algebra
+        ones, xs = alg._ones, WORD_BITS * (alg.x_count - 1)
+        out = {k: v for k, v in self.terms.items() if (k[0] * ones >> xs) & (_WFIELD - 1) < order}
+        return SRAElement(alg, out)
 
     def sorted_terms(self):
         """``coefficients`` in canonical order: graded-lex on the monomial,
@@ -776,7 +835,7 @@ def _parse_element(alg, text):
             if n > MAX_LITERAL_EXPONENT:
                 raise LiteralError("exponent %d exceeds the literal limit %d" % (n, MAX_LITERAL_EXPONENT))
         if kind == "v":
-            alg._fits(alg._top(k for _, _, k in terms), max((len(m) for m, _, _ in terms), default=0) + n, "product")
+            alg._fits("product", terms, letters=n)
             for _ in range(n):
                 terms = alg._right_letter(terms, base)
         elif kind == "n":
@@ -795,7 +854,7 @@ def _parse_element(alg, text):
         return terms
 
     def parse_term():
-        terms = parse_factor({((), 0, 0): 1})
+        terms = parse_factor({(0, 0, 0): 1})
         while peek() == "*":
             take()
             terms = parse_factor(terms)
@@ -834,7 +893,7 @@ def pbw_dimension(alg, d):
 
 def spherical_idempotent(alg):
     scale = rat(1, alg.group.order)
-    return SRAElement(alg, {((), g, 0): scale for g in range(alg.group.order)})
+    return SRAElement(alg, {(0, g, 0): scale for g in range(alg.group.order)})
 
 
 # -- center computation -----------------------------------------------------
@@ -883,7 +942,7 @@ def conjugation_sum(alg, elt, gids):
     AlgebraError when a parameter exponent could reach 2^PACK_BITS.
     """
     table, inv = alg.group.table, alg.group.inv
-    alg._fits(alg._top(k for _, _, k in elt.terms), max((len(m) for m, _, _ in elt.terms), default=0), "conjugate")
+    alg._fits("conjugate", elt.terms)
     out = {}
     for (m, h, k), x in elt.terms.items():
         for g in gids:
@@ -893,12 +952,13 @@ def conjugation_sum(alg, elt, gids):
 
 def _bracket(alg, z, i):
     """[z, v_i] as a flat map, for z a flat map: z v_i is one right
-    insertion (``_right_letter``), v_i z puts v_i in front.  The caller
-    bounds the exponents (``center_basis``)."""
-    table = alg.group.table
+    insertion (``_right_letter``), v_i z puts v_i in front (``_pair``).
+    The caller bounds the exponents (``center_basis``)."""
+    table, pairs, vi = alg.group.table, alg._pair_cache, alg._units[i]
     out = alg._right_letter(z, i)
     for (m, h, k), x in z.items():
-        K.pbw_addmul(out, alg._word_normal((i,) + m), {k: x}, -1, table, h)
+        src = pairs.get((vi, m))
+        K.pbw_addmul(out, alg._pair(vi, m) if src is None else src, {k: x}, -1, table, h)
     return out
 
 
@@ -1011,10 +1071,9 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
     """
     if t_value is None:
         t_value = R0
-    # the keys carry parameter exponents <= d // 2, and each kappa step of a
-    # conjugate or of a bracket with one letter removes two letters
-    if d // 2 + alg._kappa_exp * ((d + 1) // 2) >= _FIELD:
-        raise AlgebraError("a parameter exponent of the degree-%d center could reach 2^%d" % (d, PACK_BITS))
+    # the keys carry parameter exponents <= d // 2 (a t-power stands for
+    # them), and a bracket adds one letter to a key's d
+    alg._fits("degree-%d center" % d, [(0, 0, d // 2)], letters=d + 1)
     spec = _specializer(alg, None if include_t else t_value, c_values)
     pack = alg._pack
     reps = {cls[0] for cls in alg.group.classes}
@@ -1029,6 +1088,7 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
         tests.append((i, {h for h in everything if h == min(table[table[g][h]][inv[g]] for g in stab)}))
 
     def central_combinations(keys):
+        keys = [(alg.pack_word(m), g, pe) for m, g, pe in keys]
         index = {k: i for i, k in enumerate(keys)}
         images, vecs = [], []
         tracker = linalg.RankTracker()
@@ -1087,7 +1147,7 @@ def center_basis(alg, d, c_values=None, include_t=False, t_value=None):
     if c_values is not None:
         elements = central_combinations(_coord_keys(alg, d, c_values, include_t))
         # every packed key is 0 here: the order is by (word, gid)
-        elements.sort(key=lambda e: (e.vdegree(), sorted(e.terms)))
+        elements.sort(key=lambda e: (e.vdegree(), sorted((alg.word_of(m), g) for m, g, _ in e.terms)))
         dims = [0] * (d + 1)
         for e in elements:
             dims[e.vdegree()] += 1
@@ -1170,7 +1230,7 @@ def satake_corner_check(alg, basis, d, c_values=None):
     everything = range(alg.group.order)
     for deg in range(d + 1):
         for m in combinations_with_replacement(range(alg.nv), deg):
-            flat = conjugation_sum(alg, SRAElement(alg, {(m, 0, 0): 1}), everything)
+            flat = conjugation_sum(alg, SRAElement(alg, {(alg.pack_word(m), 0, 0): 1}), everything)
             tr2.add(_coords(_dropped(flat), slots2, spec))
     corner_dim = tr2.rank
     return {"injective": injective, "corner_dim": corner_dim, "basis_size": len(basis), "spans_corner": injective and corner_dim == len(basis)}

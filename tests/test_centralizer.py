@@ -56,7 +56,7 @@ def test_embed_group_examples(g2, g3):
         entry = m.mat[i][j]
         assert len(entry.terms) == 1
         ((word, h, key), coeff), = entry.terms.items()
-        assert word == () and key == 0 and coeff == R1
+        assert word == 0 and key == 0 and coeff == R1
         assert h in sub
         assert g3.mul(ctx3.reps[i], three_cycle) == g3.mul(h, ctx3.reps[j])
 

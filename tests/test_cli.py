@@ -391,3 +391,35 @@ def test_long_literal_reports_keep_their_bytes(group, expr, digest, capsys):
     code, out = _main_in_process(["sra", "normalize", "--group", group, "--expr", expr], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_group_times_long_x_power_is_quick(capsys):
+    # g . x1^100 is folded one letter at a time, one term per monomial,
+    # not expanded into 2^100 words
+    start = time.perf_counter()
+    code, out = _main_in_process(["sra", "mul", "--group", "symmetric:3:reflection", "--lhs", "s1*s2", "--rhs", "x1^100"],
+                                 capsys)
+    assert code == 0
+    assert time.perf_counter() - start <= 2
+    assert json.loads(out)["checks"][0]["data"]["result"].startswith("x1^100*")
+
+
+@pytest.mark.parametrize("lhs, rhs, digest", [
+    ("s1*s2", "x1^8", "11c9ef30064c3bd5653485397c2766197625f428fa79fe03e3c75ffec6817023"),
+    ("s1*s2", "x1^12", "91032156791a9eadfccceca68a3aef66d20dae7bef5e78a359cfa3a8a6666fa0"),
+    ("s1*s2", "x1^14", "2dc2e0b27c3ac4fc8e3c4f238d1e6476d14f3ba43ddf5acbdce5d0590e332819"),
+    ("s1*y2^3*x1", "y1^4*x2^3*s2", "1d0f0eda4461968e8c915e1c8c39df6fc97ecd0c4843a00313984805edccd270"),
+])
+def test_group_times_word_reports_keep_their_bytes(lhs, rhs, digest, capsys):
+    # sha256 of the reports as the word-by-word expansion of g . m printed them
+    code, out = _main_in_process(["sra", "mul", "--group", "symmetric:3:reflection", "--lhs", lhs, "--rhs", rhs], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("last, code", [(23, 0), (24, 3)])
+def test_words_of_2_to_the_word_bits_letters_exit_3(last, code, capsys):
+    # 1023 letters fit the packed word's fields; 1024 are a computation
+    # error, not a malformed literal
+    expr = "*".join(["x^100"] * 10) + "*x^%d" % last
+    assert _main_in_process(["sra", "normalize", "--group", "symmetric:2:reflection", "--expr", expr], capsys)[0] == code

@@ -5,7 +5,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from conftest import PRODUCT_SPEC, S2_SPEC, S3_SPEC, fraction_normal_form, reference_center, reference_satake, spherical_corner
+from conftest import PRODUCT_SPEC, S2_SPEC, S3_SPEC, S4_SPEC, fraction_normal_form, reference_center, reference_satake, spherical_corner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -734,9 +734,10 @@ def test_word_cache_holds_normal_forms(g3, rd3):
 
 def _in_c_variables(alg, normal_form):
     """A flat normal form read back in the c-variables (u_p = c_p / d_p):
-    {(word, gid): {exponents: Fraction}}."""
+    {(word, gid): {exponents: Fraction}}, its words unpacked."""
     out = {}
     for (m, g, key), c in normal_form.items():
+        m = alg.word_of(m)
         e = S.unpack_key(key, alg.nparams)
         weight = 1
         for d, k in zip(alg.scales, e):
@@ -847,6 +848,65 @@ def test_free_letters_match_the_fraction_reference(name, lower, upper):
         a, b = random_element(alg, rng, max_degree=3), random_element(alg, rng, max_degree=3)
         assert term_maps(alg.multiply(a, b)) == reference_product(alg, a, b)
 
+
+
+def _omega_s4():
+    g = G.group_from_spec(S4_SPEC)
+    return S.SRAlgebra.omega_form(g, G.symplectic_reflections(g))
+
+
+HEAD_SPLIT_ALGEBRAS = {"s3-omega": lambda: engine_algebra("s3-omega"), "s4-omega": _omega_s4, **FREE_LETTER_ALGEBRAS}
+
+
+@pytest.mark.parametrize("name", sorted(HEAD_SPLIT_ALGEBRAS))
+def test_head_split_products_match_the_fraction_reference(name):
+    """Products of two- and three-term elements equal plain rewriting, read
+    through ``coefficients()`` (the packed words unpacked): ``multiply``
+    adds each left word's lower-free letters into the normal form of the
+    rest times each piece, and those letters need not lead the order."""
+    alg = HEAD_SPLIT_ALGEBRAS[name]()
+    assert any(alg._lower_free) and not all(alg._lower_free)
+    rng = random.Random(40)
+
+    def factor():
+        terms = {}
+        for _ in range(rng.choice((2, 3))):
+            word = tuple(sorted(rng.randrange(alg.nv) for _ in range(rng.randint(0, 3))))
+            exps = tuple(rng.randint(0, 1) for _ in range(alg.nparams))
+            terms[(word, rng.randrange(alg.group.order))] = {exps: rat(rng.choice([1, -2, 3]), rng.choice([1, 2]))}
+        return alg.element(terms)
+
+    for _ in range(20 if name == "s4-omega" else 40):
+        a, b = factor(), factor()
+        assert term_maps(alg.multiply(a, b)) == reference_product(alg, a, b)
+
+
+def test_words_refuse_to_carry(omega_alg2):
+    """A word has fewer than 2^WORD_BITS letters, so a letter's field never
+    carries into the next one and the field sums that read a word's length
+    and x-degree stay exact: a product that could reach 2^WORD_BITS
+    letters, a literal that writes one and a word that has one are
+    refused, and one letter less multiplies."""
+    alg = omega_alg2
+    top = 1 << S.WORD_BITS
+    x, y = alg.gen(0), alg.gen(1)
+    long_x = alg.gen(0, top - 1)
+    assert list(long_x.coefficients()) == [((0,) * (top - 1), 0)]
+    assert alg.gen(0, top - 2) * x == long_x
+    assert alg.parse("*".join(["x^100"] * 10) + "*x^23") == long_x
+    # y moves past every x: the top term keeps all top - 1 letters
+    got = y * alg.gen(0, top - 2)
+    assert max(got.coefficients(), key=lambda k: len(k[0])) == ((0,) * (top - 2) + (1,), 0)
+    assert (got.vdegree(), got.xdegree(), got.ydegree()) == (top - 1, top - 2, 1)
+    for a, b in [(long_x, x), (y, long_x), (alg.gen(0, top // 2), alg.gen(1, top // 2))]:
+        with pytest.raises(S.AlgebraError, match="2\\^%d letters" % S.WORD_BITS):
+            a * b
+    with pytest.raises(S.AlgebraError) as err:
+        alg.parse("*".join(["x^100"] * 10) + "*x^24")
+    assert not isinstance(err.value, S.LiteralError)
+    for build in (lambda: alg.gen(0, top), lambda: alg.element({((0,) * top, 0): {(0, 0): 1}})):
+        with pytest.raises(S.AlgebraError, match="2\\^%d" % S.WORD_BITS):
+            build()
 
 def _count_multiply(monkeypatch):
     calls = []
